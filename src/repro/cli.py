@@ -217,8 +217,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
     from repro.perf import bench
 
     cycles = args.cycles if args.cycles else bench.SMOKE_CYCLES
@@ -227,8 +225,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                    cycles=cycles,
                                    engine=args.engine,
                                    journal=args.journal,
-                                   resume=args.resume,
-                                   force_serial=args.no_parallel)
+                                   resume=args.resume)
     print(bench.format_report(report))
     if args.json:
         bench.write_report(report, args.json)
@@ -252,26 +249,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"saturated-case gate skipped: cycles={cycles} below "
                   f"the committed budget ({bench.SMOKE_CYCLES})",
                   file=sys.stderr)
-    if args.require_parallel_speedup:
-        # The parallel floor is meaningless where the stepper cannot
-        # run: single-CPU machines fall back serial by design, and
-        # --no-parallel forces the serial path on purpose.
-        if args.no_parallel:
-            print("parallel-speedup gate skipped: --no-parallel forces "
-                  "the serial path", file=sys.stderr)
-        elif (os.cpu_count() or 1) < 2:
-            print("parallel-speedup gate skipped: single-CPU machine "
-                  "(the parallel stepper falls back serial)",
-                  file=sys.stderr)
-        else:
-            gate_failures = bench.parallel_speedup_failures(
-                report, args.parallel_floor)
-            if gate_failures:
-                for failure in gate_failures:
-                    print(f"PARALLEL GATE: {failure}", file=sys.stderr)
-                return 1
-            print(f"parallel-speedup gate passed (floor "
-                  f"{args.parallel_floor:.2f}x)")
     if args.baseline:
         baseline = bench.load_report(args.baseline)
         failures = bench.compare_to_baseline(report, baseline,
@@ -933,17 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-failures", type=int, default=0, metavar="N",
                    help=f"exit {EXIT_MAX_FAILURES} when more than N "
                         "cases fail (default 0)")
-    p.add_argument("--no-parallel", action="store_true",
-                   help="force the serial path on cases that request "
-                        "parallel stepping (the forced-serial A/B leg)")
-    p.add_argument("--require-parallel-speedup", action="store_true",
-                   help="fail unless every parallel case ran in "
-                        "parallel and beat its serial A/B leg "
-                        "(skipped on single-CPU machines and with "
-                        "--no-parallel)")
-    p.add_argument("--parallel-floor", type=float, default=1.0,
-                   help="speedup-vs-serial floor for "
-                        "--require-parallel-speedup (default 1.0)")
     p.set_defaults(fn=_cmd_bench)
 
     return parser

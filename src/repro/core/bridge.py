@@ -68,62 +68,6 @@ class RingBridgeL1:
                     trace.emit(cycle, "bridge-enter", flit.msg.msg_id, -1, -1,
                                f"bridge={self.spec.bridge_id}")
 
-    # --- Split-ownership stepping (:mod:`repro.perf.parallel`) ------
-    #
-    # When the two rings a bridge joins live in different worker
-    # processes, each worker steps only its half of every direction:
-    # the source-ring owner runs the intake (same phase order as
-    # ``step``), the destination-ring owner runs the drain.  The
-    # pipe-occupancy gate cannot be evaluated by the source worker
-    # alone (the destination's same-cycle pops are invisible across
-    # the process boundary), so the caller supplies ``may_push`` from
-    # its occupancy-bounds model and the two replicas of the pipe are
-    # reconciled at every window barrier.
-
-    def parallel_latency(self) -> int:
-        """Pipeline latency bounding the parallel lookahead window."""
-        return self._latency
-
-    def channel(self, idx: int) -> List[List]:
-        """One direction's pipe (entries ``[ready_cycle, flit]``)."""
-        return self._paths[idx][2]
-
-    def gate_allows(self, channel_len: int) -> bool:
-        """Would :meth:`step` intake with the pipe at this length?"""
-        return channel_len < self._depth
-
-    def has_push_candidate(self, cycle: int, idx: int) -> bool:
-        """Is there a flit that would enter the pipe this cycle?"""
-        return bool(self._paths[idx][0].eject_queue)
-
-    def step_src_half(self, cycle: int, idx: int, may_push: bool):
-        """Intake half of one direction; returns the new entry or None."""
-        src_port, _, pipe = self._paths[idx]
-        if may_push and src_port.eject_queue:
-            flit: Flit = src_port.eject_queue.popleft()
-            flit.advance_hop()
-            entry = [cycle + self._latency, flit]
-            pipe.append(entry)
-            trace = self.stats.trace
-            if trace.enabled:
-                trace.emit(cycle, "bridge-enter", flit.msg.msg_id, -1, -1,
-                           f"bridge={self.spec.bridge_id}")
-            return entry
-        return None
-
-    def step_dst_half(self, cycle: int, idx: int) -> bool:
-        """Drain half of one direction; True when a flit left the pipe."""
-        _, dst_port, pipe = self._paths[idx]
-        if pipe and pipe[0][0] <= cycle and not dst_port.inject_full:
-            out = pipe.pop(0)[1]
-            dst_port.enqueue_inject(out)
-            trace = self.stats.trace
-            if trace.enabled:
-                trace.emit(cycle, "bridge-exit", out.msg.msg_id, -1, -1,
-                           f"bridge={self.spec.bridge_id}")
-            return True
-        return False
-
     def occupancy(self) -> int:
         return sum(len(pipe) for _, _, pipe in self._paths)
 
@@ -311,81 +255,6 @@ class RingBridgeL2:
             if src_port.eject_queue and len(tx) < self._tx_depth:
                 flit = self._take(src_port, cycle)
                 tx.append([cycle + self._bridge_latency, flit])
-
-    # --- Split-ownership stepping (:mod:`repro.perf.parallel`) ------
-    #
-    # Same contract as :meth:`RingBridgeL1.step_src_half` /
-    # :meth:`RingBridgeL1.step_dst_half`.  The source half owns every
-    # piece of SWAP/DRM state for its direction (detection reads the
-    # source port's inject-failure counter, DRM frees the source side's
-    # Eject Queue), so the split introduces no cross-worker SWAP
-    # coupling.  Only the baseline perfect-pipe link supports the
-    # split; the reliable link layer carries ack/replay state that
-    # must stay in one process (the eligibility check enforces this).
-
-    def parallel_latency(self) -> int:
-        """Link pipeline latency bounding the parallel lookahead window."""
-        return self._link_latency
-
-    def channel(self, idx: int) -> List[List]:
-        """One direction's link pipe (entries ``[ready_cycle, flit]``)."""
-        return self._paths[idx][3]
-
-    def gate_allows(self, channel_len: int) -> bool:
-        """Would :meth:`step` push onto the link at this length?"""
-        return channel_len <= self._link_latency
-
-    def has_push_candidate(self, cycle: int, idx: int) -> bool:
-        """Is there a flit that would enter the link this cycle?"""
-        _, _, tx, _, swap = self._paths[idx]
-        return swap.has_priority_flit or bool(tx and tx[0][0] <= cycle)
-
-    def step_src_half(self, cycle: int, idx: int, may_push: bool):
-        """Intake half of one direction; returns the new entry or None."""
-        if self._links is not None:  # pragma: no cover - eligibility gate
-            raise RuntimeError(
-                f"bridge {self.spec.bridge_id}: split stepping does not "
-                "support the reliable link layer")
-        src_port, _, tx, link, swap = self._paths[idx]
-        swap.update(src_port.consecutive_failures)
-        src_port.drm_active = swap.in_drm
-        entry = None
-        # 3) Tx -> link; the occupancy gate was decided by the caller.
-        if may_push:
-            if swap.has_priority_flit:
-                entry = [cycle + self._link_latency, swap.pop_priority_flit()]
-                link.append(entry)
-            elif tx and tx[0][0] <= cycle:
-                entry = [cycle + self._link_latency, tx.pop(0)[1]]
-                link.append(entry)
-        # 2) DRM: vacate eject space through the reserved Tx.
-        if (
-            swap.in_drm
-            and src_port.eject_queue
-            and len(tx) >= self._tx_depth
-            and swap.reserved_capacity_free > 0
-        ):
-            swap.try_absorb(self._take(src_port, cycle))
-        # 1) Eject Queue -> Tx.
-        if src_port.eject_queue and len(tx) < self._tx_depth:
-            tx.append([cycle + self._bridge_latency, self._take(src_port, cycle)])
-        return entry
-
-    def step_dst_half(self, cycle: int, idx: int) -> bool:
-        """Drain half of one direction; True when a flit left the link."""
-        _, dst_port, _, link, _ = self._paths[idx]
-        if link and link[0][0] <= cycle:
-            if dst_port.inject_full:
-                self.stats.link_stall_cycles += 1
-                return False
-            out = link.pop(0)[1]
-            dst_port.enqueue_inject(out)
-            trace = self.stats.trace
-            if trace.enabled:
-                trace.emit(cycle, "bridge-exit", out.msg.msg_id, -1, -1,
-                           f"bridge={self.spec.bridge_id}")
-            return True
-        return False
 
     def _take(self, port: Port, cycle: int) -> Flit:
         flit: Flit = port.eject_queue.popleft()

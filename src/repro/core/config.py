@@ -191,26 +191,17 @@ class MultiRingConfig:
     #: None keeps the baseline perfect-pipe link; installing a
     #: :class:`repro.faults.FaultInjector` enables it implicitly.
     reliability: Optional["LinkReliabilityConfig"] = None
-    #: Opt in to the parallel per-ring stepper
-    #: (:mod:`repro.perf.parallel`): rings are partitioned across worker
-    #: processes that advance independently for a lookahead window of
-    #: ``k = min bridge pipeline latency`` cycles, then exchange the
-    #: flits crossing RBRG boundaries at a deterministic barrier.
-    #: Composes with :attr:`engine` — each worker still runs the
-    #: per-ring tier selector on its own rings.  Cycle-identical to the
-    #: serial engines; falls back to serial execution (with a
-    #: ``parallel_ineligible_reason``) when probes, tracers, fault
-    #: injection, or the topology make partitions unsafe.
-    parallel_step: bool = False
-    #: Worker-process count for :attr:`parallel_step`.  0 = one worker
-    #: per ring, capped at ``os.cpu_count()``.  Values above the ring
-    #: count are clamped; an effective count below 2 falls back serial.
-    parallel_workers: int = 0
-    #: Cap on the lookahead window, in cycles.  0 derives the window
-    #: from the cut bridges (``min`` over partition-crossing bridges of
-    #: their pipeline latency, the largest window that stays exact).  A
-    #: smaller window adds barriers but tightens the occupancy bounds,
-    #: reducing speculative-conflict serial restarts on near-saturated
-    #: cross-ring traffic.  Values above the derived window are clamped
-    #: down — a larger window would no longer be cycle-exact.
-    parallel_window: int = 0
+
+
+#: Knobs that were removed from :class:`MultiRingConfig`.  They never
+#: changed simulated results, so saved configs and scenario files that
+#: still carry them keep loading:
+#: :func:`repro.core.serialize.config_from_dict` drops them and the
+#: scenario validator reports each one as a ``retired-config-key``
+#: warning.  The three ``parallel_*`` knobs drove the retired parallel
+#: per-ring stepper; every fabric now steps serially.
+RETIRED_CONFIG_KEYS = frozenset({
+    "parallel_step",
+    "parallel_workers",
+    "parallel_window",
+})

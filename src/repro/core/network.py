@@ -65,7 +65,6 @@ class MultiRingFabric(Fabric):
             )
             cls = RingBridgeL1 if spec.level == 1 else RingBridgeL2
             self.bridges.append(cls(spec, port_a, port_b, self.config, self.stats))
-        self._bridges_by_id = {b.spec.bridge_id: b for b in self.bridges}
 
         #: Optional per-node delivery probes (Figure 14 instrumentation).
         self.delivery_probes: Dict[int, BandwidthProbe] = {}
@@ -273,43 +272,3 @@ class MultiRingFabric(Fabric):
         """Per-ring active tier (``ring_id -> "ref"|"skip"|"dense"``)."""
         return {ring.spec.ring_id: ring.active_tier()
                 for ring in self._ring_list}
-
-    def bridge_by_id(self, bridge_id: int):
-        """The bridge carrying ``bridge_id`` (KeyError when absent)."""
-        return self._bridges_by_id[bridge_id]
-
-    def parallel_ineligible_reason(self) -> Optional[str]:
-        """Why this fabric cannot be stepped by the parallel stepper.
-
-        Mirrors the per-ring ``dense_ineligible_reason`` contract: None
-        means eligible, a string names the blocking feature.  The
-        parallel stepper (:mod:`repro.perf.parallel`) replicates the
-        fabric per worker process and merges stats afterwards, which is
-        only exact when every cross-partition interaction flows through
-        the bridge pipelines — anything observing or mutating global
-        per-cycle state pins the fabric serial:
-
-        - fewer than two rings (nothing to partition);
-        - an attached trace recorder (one global, ordered event stream);
-        - an attached invariant checker (global conservation scans);
-        - delivery probes (windowed observation at drain time);
-        - delivery handlers (callbacks must fire in one process);
-        - fault injection / the reliable D2D link layer (ack/replay
-          state lives on the link and cannot be split).
-        """
-        if len(self._ring_list) < 2:
-            return "fewer than two rings"
-        if self.stats.trace.enabled:
-            return "trace recorder attached"
-        if self.invariant_checker is not None:
-            return "invariant checker attached"
-        if self.delivery_probes:
-            return "delivery probes attached"
-        if self._handlers:
-            return "delivery handlers attached"
-        if self.stats.faults is not None or self.config.reliability is not None:
-            return "fault injection / reliable link layer enabled"
-        for bridge in self.bridges:
-            if getattr(bridge, "_links", None) is not None:
-                return "fault injection / reliable link layer enabled"
-        return None

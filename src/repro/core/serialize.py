@@ -5,8 +5,7 @@ JSON cleanly: systems can save a floorplan next to their results, and a
 saved topology plus a saved trace (:mod:`repro.workloads.trace`)
 reproduces an experiment exactly.  :func:`config_to_dict` /
 :func:`config_from_dict` give :class:`MultiRingConfig` the same
-round-trip (tuning knobs, engine tier, parallel stepping knobs), which
-is what lets the parallel stepper's worker processes and saved sweep
+round-trip (tuning knobs, engine tier), which is what lets saved sweep
 scenarios rebuild byte-identical fabrics from plain JSON.
 """
 
@@ -17,6 +16,7 @@ import json
 from typing import IO, Union
 
 from repro.core.config import (
+    RETIRED_CONFIG_KEYS,
     BridgeSpec,
     MultiRingConfig,
     NodePlacement,
@@ -75,8 +75,8 @@ def config_to_dict(config: MultiRingConfig) -> dict:
 
     ``reliability`` must be None (the reliable-link config holds
     non-declarative state and already has its own campaign plumbing);
-    everything else — queue depths, ablation switches, engine tier,
-    parallel-stepping knobs — round-trips losslessly.
+    everything else — queue depths, ablation switches, engine tier —
+    round-trips losslessly.
     """
     if config.reliability is not None:
         raise ValueError(
@@ -93,9 +93,12 @@ def config_from_dict(raw: dict) -> MultiRingConfig:
 
     Unknown keys are rejected (a typo'd knob must not silently become
     a default); missing keys fall back to the dataclass defaults so
-    old saves keep loading as knobs are added.
+    old saves keep loading as knobs are added, and retired knobs
+    (:data:`repro.core.config.RETIRED_CONFIG_KEYS`) are dropped so old
+    saves keep loading as knobs are removed.
     """
-    raw = dict(raw)
+    raw = {key: value for key, value in raw.items()
+           if key not in RETIRED_CONFIG_KEYS}
     version = raw.pop("version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported config format version {version!r}")

@@ -131,14 +131,12 @@ def chiplet_chain(
 ) -> Tuple[TopologySpec, List[List[int]]]:
     """``n_rings`` chiplets in a line, adjacent pairs joined by RBRG-L2s.
 
-    The smallest topology family where the parallel stepper
-    (:mod:`repro.perf.parallel`) has real work per partition: every ring
-    couples to its neighbours only through die-to-die pipelines, so a
-    chain of ``n`` rings partitions into up to ``n`` workers with a
-    lookahead window of the smallest cut-link latency.  Ring ``i``
-    hosts its left bridge endpoint at stop 0 and its right endpoint at
-    stop ``(nodes_per_ring + 1) * stop_spacing``; node interfaces fill
-    the stops between.  Returns (topology, per-ring node id lists).
+    Every ring couples to its neighbours only through die-to-die
+    pipelines, which makes the chain the simplest multi-chiplet shape
+    for bridge-heavy benchmarks.  Ring ``i`` hosts its left bridge
+    endpoint at stop 0 and its right endpoint at stop
+    ``(nodes_per_ring + 1) * stop_spacing``; node interfaces fill the
+    stops between.  Returns (topology, per-ring node id lists).
     """
     if n_rings < 2:
         raise ValueError("a chain needs at least two rings")

@@ -33,7 +33,11 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import MultiRingConfig, TopologySpec
+from repro.core.config import (
+    RETIRED_CONFIG_KEYS,
+    MultiRingConfig,
+    TopologySpec,
+)
 from repro.lint.findings import Finding, Severity
 from repro.params import QueueParams
 
@@ -46,9 +50,6 @@ _CONFIG_KEYS = {
     "escape_slot_period",
     "bridge_route_penalty",
     "lanes_per_direction",
-    "parallel_step",
-    "parallel_workers",
-    "parallel_window",
 }
 
 _QUEUE_KEYS = {
@@ -330,30 +331,6 @@ def validate_config(
             f"dense_enter_occupancy ({config.dense_enter_occupancy}) "
             "<= 1; an inverted band makes the auto selector thrash "
             "materialization every check", path))
-    if config.parallel_workers < 0:
-        findings.append(_err(
-            "bad-threshold",
-            f"parallel_workers is {config.parallel_workers}; must be "
-            ">= 0 (0 = one worker per ring, capped at the CPU count)",
-            path))
-    if config.parallel_window < 0:
-        findings.append(_err(
-            "bad-threshold",
-            f"parallel_window is {config.parallel_window}; must be >= 0 "
-            "(0 derives the window from the cut-bridge latencies)", path))
-    if config.parallel_step:
-        if config.reliability is not None:
-            findings.append(_warn(
-                "parallel-serial-fallback",
-                "parallel_step is set but the reliable link layer is "
-                "enabled; the parallel stepper cannot split ack/replay "
-                "link state and will always fall back serial", path))
-        if spec is not None and len(spec.rings) < 2:
-            findings.append(_warn(
-                "parallel-serial-fallback",
-                "parallel_step is set on a single-ring topology; there "
-                "is nothing to partition and the stepper will always "
-                "fall back serial", path))
 
     if has_l2_bridges:
         if config.enable_swap:
@@ -537,6 +514,11 @@ def _config_from_dict(raw: dict, path: Optional[str],
                     "unknown-config-key",
                     "the 'reliability' config section must be an object "
                     f"(got {type(value).__name__})", path))
+        elif key in RETIRED_CONFIG_KEYS:
+            findings.append(_warn(
+                "retired-config-key",
+                f"config key '{key}' is retired and ignored (every fabric "
+                "now steps serially; see docs/PERFORMANCE.md)", path))
         elif key not in _CONFIG_KEYS:
             findings.append(_err(
                 "unknown-config-key",

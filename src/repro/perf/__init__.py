@@ -21,8 +21,6 @@ parallel-seeding rules.
   stand in for stats dicts in partial sweep results.
 - :mod:`repro.perf.bench` — the ``repro-noc bench`` smoke suite and the
   ``BENCH_fabric.json`` trajectory format.
-- :mod:`repro.perf.parallel` — parallel per-ring fabric stepping with
-  deterministic bridge-exchange barriers (cycle-identical to serial).
 """
 
 from repro.perf.cache import MISS, ResultCache

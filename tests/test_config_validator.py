@@ -129,26 +129,15 @@ def test_inverted_dense_hysteresis_band_detected():
     assert "bad-threshold" in rules(validate_config(config))
 
 
-def test_negative_parallel_knobs_detected():
-    config = MultiRingConfig(parallel_workers=-1)
-    assert "bad-threshold" in rules(validate_config(config))
-    config = MultiRingConfig(parallel_window=-2)
-    assert "bad-threshold" in rules(validate_config(config))
-    config = MultiRingConfig(parallel_step=True, parallel_workers=0,
-                             parallel_window=0)
-    assert "bad-threshold" not in rules(validate_config(config))
-
-
 def test_parallel_serial_fallback_warns_not_errors():
-    spec, _ = single_ring_topology(6)
-    config = MultiRingConfig(parallel_step=True)
-    findings = validate_config(config, spec=spec)
-    assert "parallel-serial-fallback" in rules(findings)
+    """A saved scenario that asks for the retired parallel stepper still
+    validates: every fabric steps serially, which is a warning."""
+    spec, _, _ = chiplet_pair()
+    raw = {"topology": topology_to_dict(spec),
+           "config": {"parallel_step": True}}
+    findings = validate_scenario(raw)
+    assert "retired-config-key" in rules(findings)
     assert errors(findings) == []
-    # On a multi-ring system the knob is actionable: no warning.
-    pair_spec, _, _ = chiplet_pair()
-    assert "parallel-serial-fallback" not in rules(
-        validate_config(config, spec=pair_spec))
 
 
 def test_parallel_config_keys_accepted_in_scenarios():
@@ -156,7 +145,9 @@ def test_parallel_config_keys_accepted_in_scenarios():
     raw = {"topology": topology_to_dict(spec),
            "config": {"parallel_step": True, "parallel_workers": 2,
                       "parallel_window": 4}}
-    assert "unknown-config-key" not in rules(validate_scenario(raw))
+    findings = validate_scenario(raw)
+    assert "unknown-config-key" not in rules(findings)
+    assert sum(f.rule == "retired-config-key" for f in findings) == 3
 
 
 def test_swap_disabled_interchiplet_cycle_detected():

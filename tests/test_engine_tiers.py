@@ -15,7 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MultiRingConfig
 from repro.core.network import MultiRingFabric
-from repro.core.topology import single_ring_topology
+from repro.core.topology import (
+    chiplet_chain,
+    grid_of_rings,
+    single_ring_topology,
+)
 from repro.fabric.message import Message, MessageKind
 from repro.obs.export import events_to_jsonl
 from repro.perf.dense import dense_ineligible_reason, numpy_available
@@ -179,6 +183,59 @@ def test_snapshot_read_during_dense_is_exact():
             probed += len(fabric.flits_in_flight())
     assert fabric.stats == ref
     assert probed > 0
+
+
+# -- multi-ring systems: one serial fabric step across bridges -----------
+
+
+def local_plus_cross_plan(rings, cycles, per_ring, cross_every, seed):
+    """Ring-local uniform traffic plus periodic cross-ring flows."""
+    rng = make_rng(seed)
+    plan = []
+    for cycle in range(cycles):
+        for ring_nodes in rings:
+            for _ in range(per_ring):
+                src = rng.choice(ring_nodes)
+                dst = rng.choice(ring_nodes)
+                if src != dst:
+                    plan.append((cycle, src, dst))
+        if cycle % cross_every == 0:
+            for i in range(len(rings) - 1):
+                plan.append((cycle, rng.choice(rings[i]),
+                             rng.choice(rings[i + 1])))
+                plan.append((cycle, rng.choice(rings[i + 1]),
+                             rng.choice(rings[i])))
+    return plan
+
+
+def multi_ring_system(name):
+    """(topology, per-ring node lists) for an RBRG-L2 chain or an
+    RBRG-L1 grid."""
+    if name == "chain":
+        return chiplet_chain(n_rings=4, nodes_per_ring=6)
+    topo = grid_of_rings(2, 2, devices_per_vring=3,
+                         memory_per_hring=3).topology
+    node_rings = {}
+    for placement in topo.nodes:
+        node_rings.setdefault(placement.ring, []).append(placement.node)
+    return topo, [node_rings[r.ring_id] for r in topo.rings
+                  if r.ring_id in node_rings]
+
+
+@needs_numpy
+@pytest.mark.parametrize("system", ["chain", "grid"])
+def test_multi_ring_tiers_identical(system):
+    """Bridges couple rings inside one fabric step; every tier policy
+    must give the reference stats, ordered latency samples included."""
+    topo, rings = multi_ring_system(system)
+    plan = local_plus_cross_plan(rings, 300, per_ring=3, cross_every=8,
+                                 seed=82)
+    stats = {engine: run_plan(
+                 MultiRingFabric(topo, MultiRingConfig(engine=engine)),
+                 plan, 300)
+             for engine in ENGINES}
+    assert_tiers_identical(stats)
+    assert stats["ref"].delivered > 0
 
 
 # -- hypothesis property: auto == ref for arbitrary seeds -----------------

@@ -91,15 +91,13 @@ def test_config_roundtrip_preserves_every_knob():
 
     config = MultiRingConfig(
         engine="dense",
-        parallel_step=True,
-        parallel_workers=3,
-        parallel_window=4,
+        engine_check_every=16,
         escape_slot_period=7,
         queues=QueueParams(inject_queue_depth=5),
     )
     rebuilt = config_from_dict(config_to_dict(config))
     assert rebuilt == config
-    assert rebuilt.parallel_step and rebuilt.parallel_workers == 3
+    assert rebuilt.engine == "dense" and rebuilt.engine_check_every == 16
     assert rebuilt.queues.inject_queue_depth == 5
 
 
@@ -110,7 +108,7 @@ def test_config_dict_rejects_unknown_keys_and_reliability():
     from repro.core.serialize import config_from_dict, config_to_dict
 
     raw = config_to_dict(MultiRingConfig())
-    raw["parallel_stepp"] = True  # typo'd knob must not become a default
+    raw["enginee"] = "ref"  # typo'd knob must not become a default
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_dict(raw)
 
@@ -129,7 +127,18 @@ def test_config_dict_defaults_missing_keys():
     from repro.core.serialize import config_from_dict, config_to_dict
 
     raw = config_to_dict(MultiRingConfig())
-    raw.pop("parallel_step")
-    raw.pop("parallel_workers")
+    raw.pop("engine")
+    raw.pop("engine_check_every")
     rebuilt = config_from_dict(raw)
     assert rebuilt == MultiRingConfig()
+
+
+def test_config_dict_drops_retired_keys():
+    """Saves written while the parallel stepper existed keep loading."""
+    from repro.core.config import RETIRED_CONFIG_KEYS, MultiRingConfig
+    from repro.core.serialize import config_from_dict, config_to_dict
+
+    raw = config_to_dict(MultiRingConfig(engine="skip"))
+    assert not RETIRED_CONFIG_KEYS & set(raw)
+    raw.update(parallel_step=True, parallel_workers=3, parallel_window=4)
+    assert config_from_dict(raw) == MultiRingConfig(engine="skip")
