@@ -8,11 +8,13 @@ Two layers, matching Section 4.1:
   :func:`ring_distance`;
 - *segment routing* across rings — the flit's route is a list of
   :class:`Hop` segments, one per ring traversed, separated by ring
-  bridges.  Routes are computed once per (src, dst) pair by
-  :class:`Router` (Dijkstra over bridge endpoints, weighted by in-ring
-  hop distance plus a per-bridge penalty) and cached.  On the AI
-  processor's grid of rings this reduces to X-Y/Y-X routing with at most
-  one ring change (a property test asserts this).
+  bridges.  :class:`Router` runs one Dijkstra search per source
+  position (ring, stop) over bridge endpoints, weighted by in-ring hop
+  distance plus a per-bridge penalty, and caches the resulting
+  shortest-path tree; a (src, dst) route is then read off that tree and
+  cached too.  On the AI processor's grid of rings this reduces to
+  X-Y/Y-X routing with at most one ring change (a property test asserts
+  this).
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import TopologySpec
+
+Position = Tuple[int, int]
+# Per-source shortest-path tree: (arrivals by ring, prev links).
+_Tree = Tuple[
+    Dict[int, List[Tuple[Position, int]]],
+    Dict[Position, Tuple[Position, object, int]],
+]
 
 
 @dataclass(frozen=True)
@@ -68,20 +77,24 @@ class Router:
         topology.validate()
         self._rings = {r.ring_id: r for r in topology.rings}
         self._placement = {p.node: (p.ring, p.stop) for p in topology.nodes}
-        self._bridges = list(topology.bridges)
-        self._bridge_penalty = bridge_penalty
         self._cache: Dict[Tuple[int, int], List[Hop]] = {}
-        # Adjacency: ring -> list of (bridge, side) endpoints on that ring.
-        self._ring_bridges: Dict[int, List[Tuple]] = {r: [] for r in self._rings}
-        for b in self._bridges:
-            self._ring_bridges[b.ring_a].append((b, 0))
-            self._ring_bridges[b.ring_b].append((b, 1))
+        self._trees: Dict[Position, _Tree] = {}
+        # Relaxation edges: ring -> (bridge, side, stop on this ring,
+        # position across the bridge, crossing cost), in bridge order.
+        self._edges: Dict[int, List[Tuple]] = {r: [] for r in self._rings}
+        for b in topology.bridges:
+            crossing = bridge_penalty + b.link_latency
+            self._edges[b.ring_a].append(
+                (b, 0, b.stop_a, (b.ring_b, b.stop_b), crossing))
+            self._edges[b.ring_b].append(
+                (b, 1, b.stop_b, (b.ring_a, b.stop_a), crossing))
 
     def __deepcopy__(self, memo):
-        # Routes are a pure function of the immutable topology and the
-        # cache is append-only, so fabric clones (repro.verify's model
-        # checker deep-copies whole fabrics per explored transition) can
-        # share one router instead of re-deriving every route.
+        # Routes and per-source trees are pure functions of the immutable
+        # topology and both caches are append-only, so fabric clones
+        # (repro.verify's model checker deep-copies whole fabrics per
+        # explored transition) can share one router instead of
+        # re-deriving every route.
         memo[id(self)] = self
         return self
 
@@ -104,55 +117,19 @@ class Router:
         return computed
 
     def _compute(self, src: int, dst: int) -> List[Hop]:
-        src_ring, src_stop = self._placement[src]
+        start = self._placement[src]
         dst_ring, dst_stop = self._placement[dst]
-        if src_ring == dst_ring:
+        if start[0] == dst_ring:
             return [Hop(dst_ring, dst_stop, ("node", dst))]
+        tree = self._trees.get(start)
+        if tree is None:
+            tree = self._trees[start] = self._search(start)
+        arrivals, prev = tree
 
-        # Dijkstra over positions (ring, stop).  Moves: ride the current
-        # ring to any bridge endpoint on it (cost = in-ring distance),
-        # then cross the bridge (cost = penalty + link latency).
-        start = (src_ring, src_stop)
-        dist: Dict[Tuple[int, int], int] = {start: 0}
-        # prev maps a post-crossing position to (pre-crossing position,
-        # bridge, side-we-entered-from) so the hop list can be rebuilt.
-        prev: Dict[Tuple[int, int], Tuple[Tuple[int, int], object, int]] = {}
-        heap: List[Tuple[int, Tuple[int, int]]] = [(0, start)]
-        visited = set()
-        while heap:
-            d, pos = heapq.heappop(heap)
-            if pos in visited:
-                continue
-            visited.add(pos)
-            ring, stop = pos
-            if ring == dst_ring:
-                # Riding to the destination stop ends the search for this
-                # entry point; total cost is d + in-ring distance.  We can
-                # finalize greedily because every entry point to dst_ring
-                # is popped in cost order and in-ring cost is added below
-                # when comparing completed candidates.
-                pass
-            for bridge, side in self._ring_bridges[ring]:
-                here = (bridge.stop_a, bridge.stop_b)[side]
-                there_ring = (bridge.ring_b, bridge.ring_a)[side]
-                there_stop = (bridge.stop_b, bridge.stop_a)[side]
-                cost = (
-                    d
-                    + self._dist(ring, stop, here)
-                    + self._bridge_penalty
-                    + bridge.link_latency
-                )
-                nxt = (there_ring, there_stop)
-                if cost < dist.get(nxt, 1 << 60):
-                    dist[nxt] = cost
-                    prev[nxt] = (pos, bridge, side)
-                    heapq.heappush(heap, (cost, nxt))
-
-        # Pick the best arrival position on the destination ring.
-        best: Optional[Tuple[int, Tuple[int, int]]] = None
-        for pos, d in dist.items():
-            if pos[0] != dst_ring:
-                continue
+        # Pick the best arrival position on the destination ring; ties
+        # go to the position the search reached first.
+        best: Optional[Tuple[int, Position]] = None
+        for pos, d in arrivals.get(dst_ring, ()):
             total = d + self._dist(dst_ring, pos[1], dst_stop)
             if best is None or total < best[0]:
                 best = (total, pos)
@@ -169,10 +146,43 @@ class Router:
         chain.reverse()
 
         hops: List[Hop] = []
-        ring = src_ring
+        ring = start[0]
         for bridge, side in chain:
             exit_stop = (bridge.stop_a, bridge.stop_b)[side]
             hops.append(Hop(ring, exit_stop, ("bridge", bridge.bridge_id, side)))
             ring = (bridge.ring_b, bridge.ring_a)[side]
         hops.append(Hop(dst_ring, dst_stop, ("node", dst)))
         return hops
+
+    def _search(self, start: Position) -> _Tree:
+        """Shortest-path tree of every position reachable from ``start``.
+
+        Dijkstra over positions (ring, stop).  Moves: ride the current
+        ring to any bridge endpoint on it (cost = in-ring distance), then
+        cross the bridge (cost = penalty + link latency).  The search is
+        exhaustive, so the tree serves every destination.  Returns the
+        reached positions grouped by ring, each group in first-reached
+        order with its final cost, and ``prev``, which maps a
+        post-crossing position to (pre-crossing position, bridge,
+        side-we-entered-from).
+        """
+        dist: Dict[Position, int] = {start: 0}
+        prev: Dict[Position, Tuple[Position, object, int]] = {}
+        heap: List[Tuple[int, Position]] = [(0, start)]
+        visited = set()
+        while heap:
+            d, pos = heapq.heappop(heap)
+            if pos in visited:
+                continue
+            visited.add(pos)
+            ring, stop = pos
+            for bridge, side, here, nxt, crossing in self._edges[ring]:
+                cost = d + self._dist(ring, stop, here) + crossing
+                if cost < dist.get(nxt, 1 << 60):
+                    dist[nxt] = cost
+                    prev[nxt] = (pos, bridge, side)
+                    heapq.heappush(heap, (cost, nxt))
+        arrivals: Dict[int, List[Tuple[Position, int]]] = {}
+        for pos, d in dist.items():
+            arrivals.setdefault(pos[0], []).append((pos, d))
+        return arrivals, prev

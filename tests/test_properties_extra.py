@@ -15,6 +15,7 @@ from repro.core.topology import TopologyBuilder
 from repro.fabric import Message, MessageKind
 from repro.fabric.probes import BandwidthProbe
 from repro.testing import inject_all, run_to_drain
+from tests.routing_reference import reference_route
 
 
 # -- lane rotation ---------------------------------------------------------
@@ -141,7 +142,10 @@ def test_probe_totals_conserved(window, events):
 
 
 @st.composite
-def connected_multiring(draw):
+def connected_multiring(draw, max_extra_bridges: int = 0):
+    """Random connected ring graph: a spanning tree of bridges plus up to
+    ``max_extra_bridges`` extra ones, which close cycles and create
+    equal-cost alternative routes."""
     n_rings = draw(st.integers(min_value=1, max_value=5))
     builder = TopologyBuilder()
     nstops = draw(st.integers(min_value=6, max_value=16))
@@ -154,13 +158,30 @@ def connected_multiring(draw):
         # for bridge endpoints).
         nodes.append(builder.add_node(ring, 2))
         nodes.append(builder.add_node(ring, 4))
-    # Spanning-tree bridges keep the graph connected; extra random
-    # bridges are allowed.
+    # Spanning-tree bridges keep the graph connected.
+    load = {(ring, stop): 1 for ring in range(n_rings) for stop in (2, 4)}
     for ring in range(1, n_rings):
         parent = draw(st.integers(min_value=0, max_value=ring - 1))
-        builder.add_bridge(parent, 0 if ring % 2 else 1, ring, 0,
+        ends = ((parent, 0 if ring % 2 else 1), (ring, 0))
+        for end in ends:
+            load[end] = load.get(end, 0) + 1
+        builder.add_bridge(*ends[0], *ends[1],
                            level=draw(st.sampled_from([1, 2])),
                            link_latency=None)
+    if n_rings > 1:
+        stop = st.integers(min_value=0, max_value=nstops - 1)
+        ring = st.integers(min_value=0, max_value=n_rings - 1)
+        for _ in range(draw(st.integers(0, max_extra_bridges))):
+            ends = ((draw(ring), draw(stop)), (draw(ring), draw(stop)))
+            # A stop hosts at most two interfaces.
+            if ends[0][0] == ends[1][0] or any(load.get(e, 0) >= 2
+                                               for e in ends):
+                continue
+            for end in ends:
+                load[end] = load.get(end, 0) + 1
+            builder.add_bridge(*ends[0], *ends[1],
+                               level=draw(st.sampled_from([1, 2])),
+                               link_latency=None)
     return builder.build(), nodes
 
 
@@ -180,6 +201,18 @@ def test_router_finds_route_on_connected_graphs(data):
     # No ring is visited twice (simple path over the ring graph).
     visited = [h.ring for h in route]
     assert len(visited) == len(set(visited))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_router_matches_per_pair_reference_on_cyclic_graphs(data):
+    topology, nodes = data.draw(connected_multiring(max_extra_bridges=6))
+    penalty = data.draw(st.sampled_from([0, 1, 8, 100]))
+    router = Router(topology, bridge_penalty=penalty)
+    for src in nodes:
+        for dst in nodes:
+            assert router.route(src, dst) == reference_route(
+                topology, src, dst, penalty)
 
 
 @given(data=st.data())

@@ -1,10 +1,39 @@
 """Unit tests for direction selection and multi-ring segment routing."""
 
+from functools import lru_cache
+
 import pytest
 
+from repro.ai import AiProcessor, AiProcessorConfig
 from repro.core.config import TopologySpec, RingSpec, NodePlacement, BridgeSpec
 from repro.core.routing import Router, ring_direction, ring_distance
-from repro.core.topology import chiplet_pair, grid_of_rings, single_ring_topology
+from repro.core.topology import (
+    chiplet_chain, chiplet_pair, grid_of_rings, single_ring_topology,
+)
+from repro.cpu import ServerPackage, ServerPackageConfig
+from tests.routing_reference import reference_route
+
+# The sizings bench/harness.py runs (ai_mesh, server_coherent).
+BENCH_AI = dict(n_hrings=6, n_llc=12, n_l2=36, n_hbm=6, n_dma=6)
+BENCH_SERVER = dict(clusters_per_ccd=6, hn_per_ccd=2, ddr_per_ccd=2)
+
+ORACLE_TOPOLOGIES = {
+    "ai_bench": lambda: AiProcessor(AiProcessorConfig(**BENCH_AI))
+    .layout.topology,
+    "ai_default": lambda: AiProcessor().layout.topology,
+    "server_bench": lambda: ServerPackage(ServerPackageConfig(**BENCH_SERVER))
+    .fabric.topology,
+    "server_default": lambda: ServerPackage().fabric.topology,
+    "chain4_spacing1": lambda: chiplet_chain(4, 8, stop_spacing=1)[0],
+    "chain6": lambda: chiplet_chain(6, 8)[0],
+    "grid": lambda: grid_of_rings(3, 2, devices_per_vring=3,
+                                  memory_per_hring=2).topology,
+}
+
+
+@lru_cache(maxsize=None)
+def oracle_topology(name: str) -> TopologySpec:
+    return ORACLE_TOPOLOGIES[name]()
 
 
 def test_ring_distance_full_ring_is_shortest():
@@ -119,3 +148,42 @@ def test_router_respects_bridge_penalty():
     assert len(cheap_bridges) == 3  # chain wins when bridges are cheap
     dear_bridges = build(100).route(0, 1)
     assert len(dear_bridges) == 2  # direct wins when bridges are dear
+
+
+@pytest.mark.parametrize("penalty", [0, 1, 8, 100])
+@pytest.mark.parametrize("name", sorted(ORACLE_TOPOLOGIES))
+def test_router_matches_per_pair_reference(name, penalty):
+    """The per-source tree cache picks exactly the hops the original
+    per-(src, dst) search picked, ties included, on every ordered pair."""
+    topology = oracle_topology(name)
+    router = Router(topology, bridge_penalty=penalty)
+    nodes = topology.node_ids
+    for src in nodes:
+        for dst in nodes:
+            assert router.route(src, dst) == reference_route(
+                topology, src, dst, penalty), (name, penalty, src, dst)
+
+
+def test_router_searches_once_per_source_position():
+    topology = oracle_topology("ai_bench")
+    router = Router(topology)
+    searched = []
+    search = router._search
+
+    def counting_search(start):
+        searched.append(start)
+        return search(start)
+
+    router._search = counting_search
+    nodes = topology.node_ids
+    for src in nodes:
+        for dst in nodes:
+            router.route(src, dst)
+    cross_ring_sources = {
+        router.placement(src) for src in nodes
+        if any(router.placement(dst)[0] != router.placement(src)[0]
+               for dst in nodes)
+    }
+    assert len(cross_ring_sources) == 92
+    assert sorted(searched) == sorted(cross_ring_sources)
+    assert router.route(nodes[0], nodes[-1]) is router.route(nodes[0], nodes[-1])
