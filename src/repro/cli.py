@@ -439,20 +439,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     from repro.lint import run_check
 
-    if args.write_baseline and not args.baseline:
-        print("--write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
     report = run_check(
         src_paths=args.src or None,
         scenario_paths=args.scenario,
         lint=not args.no_lint,
         builtin=not args.no_builtin,
         dataflow=not args.no_dataflow,
-        baseline_path=args.baseline,
-        write_baseline=args.write_baseline,
         fail_on=args.fail_on,
-        use_cache=not args.no_cache,
-        cache_path=args.cache_file,
     )
     if args.sarif:
         from repro.lint.sarif import write_sarif
@@ -478,14 +471,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.replay:
         ce = Counterexample.load(args.replay)
         code = 0
-        for fast in (True, False):
-            result = replay_counterexample(ce, fast_path=fast)
+        for engine in ("skip", "ref"):
+            result = replay_counterexample(ce, engine=engine)
             if args.json:
                 print(_json.dumps(result.to_dict(), indent=2))
             else:
-                mode = "fast" if fast else "reference"
                 verdict = "confirmed" if result.confirmed else "NOT CONFIRMED"
-                print(f"replay[{mode}]: {verdict} "
+                print(f"replay[{engine}]: {verdict} "
                       f"({result.observed_rule or 'no violation'}) "
                       f"{result.detail}")
             if not result.confirmed:
@@ -643,21 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sarif", metavar="FILE",
                    help="also write findings as SARIF 2.1.0 (for GitHub "
                         "code scanning)")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="subtract the findings baseline (fingerprint "
-                        "match); stale entries report as notes")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="regenerate the --baseline file from this run's "
-                        "findings (explicit, reviewable diff)")
     p.add_argument("--fail-on", choices=["error", "warn", "info"],
                    default="error",
                    help="lowest severity that fails the run "
                         "(default: error)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the per-file lint memo cache")
-    p.add_argument("--cache-file", metavar="FILE",
-                   help="memo cache location (default: "
-                        "~/.cache/repro-noc/check-cache.json)")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser(
@@ -685,8 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-counterexample", metavar="FILE",
                    help="write the first counterexample to FILE as JSON")
     p.add_argument("--replay", metavar="FILE",
-                   help="replay a saved counterexample file in both "
-                        "fast-path modes instead of verifying")
+                   help="replay a saved counterexample file on the "
+                        "skip and ref engines instead of verifying")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
     p.add_argument("--profile", action="store_true",

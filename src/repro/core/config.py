@@ -157,12 +157,6 @@ class MultiRingConfig:
     #: high-speed wire fabric of Table 4 has x2.5 the bus width of the
     #: dense fabric, which the AI processor exploits as parallel lanes.
     lanes_per_direction: int = 1
-    #: Use the fast ring stepping (skips provably no-op station visits).
-    #: False forces the reference walk — cycle-for-cycle identical, kept
-    #: as the semantic spec for the equivalence tests and for debugging.
-    #: Subsumed by :attr:`engine`; ``fast_path=False`` is kept as a
-    #: back-compatible alias for ``engine="ref"``.
-    fast_path: bool = True
     #: Stepping-engine tier (see docs/PERFORMANCE.md):
     #:
     #: - ``"ref"``   — reference walk, the semantic spec;
@@ -177,8 +171,7 @@ class MultiRingConfig:
     #:   hysteresis.  All four tiers are cycle-for-cycle identical.
     engine: str = "auto"
     #: Cycles between occupancy samples of the ``"auto"`` engine
-    #: selector (per ring; rides :class:`repro.perf.dense.EngineSelector`
-    #: on the ``run_until`` check cadence where one is installed).
+    #: selector (each ring samples itself inside ``Ring.step``).
     engine_check_every: int = 64
     #: ``"auto"`` promotes a ring to the dense tier when its slot
     #: occupancy fraction reaches this level ...
@@ -199,8 +192,10 @@ class MultiRingConfig:
 #: :func:`repro.core.serialize.config_from_dict` drops them and the
 #: scenario validator reports each one as a ``retired-config-key``
 #: warning.  The three ``parallel_*`` knobs drove the retired parallel
-#: per-ring stepper; every fabric now steps serially.
+#: per-ring stepper; every fabric now steps serially.  ``fast_path`` was
+#: an alias for ``engine="skip"``/``"ref"``, which are cycle-identical.
 RETIRED_CONFIG_KEYS = frozenset({
+    "fast_path",
     "parallel_step",
     "parallel_workers",
     "parallel_window",

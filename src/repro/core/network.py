@@ -248,15 +248,6 @@ class MultiRingFabric(Fabric):
 
     # -- stepping mode -----------------------------------------------------
 
-    def set_fast_path(self, enabled: bool) -> None:
-        """Switch every ring between the fast and reference step.
-
-        Back-compat alias: ``True`` selects the exact-skip tier,
-        ``False`` the reference walk.  Use :meth:`set_engine` for the
-        full tier policy (including ``"auto"``/``"dense"``).
-        """
-        self.set_engine("skip" if enabled else "ref")
-
     def set_engine(self, mode: str) -> None:
         """Set the stepping-engine tier policy on every ring.
 

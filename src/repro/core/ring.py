@@ -222,17 +222,14 @@ class Ring:
         if mode not in ("auto", "ref", "skip", "dense"):
             raise ValueError(
                 f"unknown engine {mode!r}; pick auto, ref, skip, or dense")
-        if not config.fast_path:
-            # Back-compat: the legacy knob forces the reference walk.
-            mode = "ref"
         #: Stepping tier policy ("auto"|"ref"|"skip"|"dense"); see
         #: ``MultiRingConfig.engine`` and docs/PERFORMANCE.md.
         self.engine_mode = mode
-        #: Use a fast step when not running dense (identical semantics,
-        #: skips no-op station visits).  Cleared via
-        #: ``MultiRingConfig(fast_path=False)`` / ``engine="ref"`` so
-        #: equivalence tests can drive the reference step.
-        self.fast_path = mode != "ref"
+        #: Run the exact-skip step when not running dense (identical
+        #: semantics, skips no-op station visits).  Cleared only by
+        #: ``engine="ref"``, so equivalence tests can drive the
+        #: reference step.
+        self._skip = mode != "ref"
         #: Active :class:`repro.perf.dense.DenseRingEngine`, or None
         #: while a scalar step runs.
         self._dense = None
@@ -241,8 +238,6 @@ class Ring:
         #: keeps the dense tier off so scalar-path guarantees (byte-
         #: identical trace streams, probe visibility) stay intact.
         self._scalar_pin: Optional[str] = None
-        #: Last reason the dense tier was refused (diagnostics).
-        self._dense_blocked: Optional[str] = None
         self._next_engine_check = (
             0 if mode in ("auto", "dense") else float("inf"))
 
@@ -283,7 +278,7 @@ class Ring:
             else:
                 dense.step(cycle)
                 return
-        if self.fast_path:
+        if self._skip:
             self.step_fast(cycle)
         else:
             self.step_reference(cycle)
@@ -298,7 +293,7 @@ class Ring:
         if self._dense is not None:
             self._exit_dense()
         self.engine_mode = mode
-        self.fast_path = mode != "ref"
+        self._skip = mode != "ref"
         self._next_engine_check = (
             0 if mode in ("auto", "dense") else float("inf"))
 
@@ -312,7 +307,7 @@ class Ring:
         """The tier the next cycle will run ("ref", "skip", or "dense")."""
         if self._dense is not None:
             return "dense"
-        return "skip" if self.fast_path else "ref"
+        return "skip" if self._skip else "ref"
 
     def _engine_check(self, cycle: int) -> None:
         """Periodic tier decision (auto/dense modes only)."""
@@ -342,13 +337,11 @@ class Ring:
         from repro.perf.dense import DenseRingEngine, dense_ineligible_reason
         reason = dense_ineligible_reason(self)
         if reason is not None:
-            self._dense_blocked = reason
             if self.engine_mode == "dense":
                 # Forced onto an ineligible ring: fall back to the skip
                 # tier permanently instead of re-checking forever.
                 self._next_engine_check = float("inf")
             return
-        self._dense_blocked = None
         self._dense = DenseRingEngine(self, cycle)
 
     def _exit_dense(self) -> None:

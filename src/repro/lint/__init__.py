@@ -19,12 +19,10 @@ Four layers, surfaced together as ``repro-noc check``:
 
 All layers emit the unified :class:`~repro.lint.findings.Finding`
 record (severity, stable fingerprint), suppress via inline
-``# repro: allow[rule]`` comments (:mod:`repro.lint.suppress`), subtract
-a checked-in baseline (:mod:`repro.lint.baseline`) and export SARIF
-2.1.0 (:mod:`repro.lint.sarif`).
+``# repro: allow[rule]`` comments (:mod:`repro.lint.suppress`) and
+export SARIF 2.1.0 (:mod:`repro.lint.sarif`).
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.dataflow import DataflowReport, analyze_paths, analyze_sources
 from repro.lint.findings import Finding, Severity
 from repro.lint.invariants import FabricInvariantChecker, InvariantViolation
@@ -42,7 +40,6 @@ from repro.lint.validator import (
 )
 
 __all__ = [
-    "Baseline",
     "CheckReport",
     "DEFAULT_RULES",
     "DataflowReport",

@@ -50,7 +50,7 @@ a function (statement order approximated by line number), best-effort
 name resolution through import aliases, and silent on values they
 cannot prove anything about (non-constant salts, dynamically chosen
 callables).  They are tuned to be quiet on the shipped tree — anything
-they do flag is either fixed or explicitly baselined, never ignored.
+they do flag is either fixed or explicitly suppressed, never ignored.
 
 Findings anchor to source lines and carry the line text as fingerprint
 context, and inline ``# repro: allow[rule]`` suppressions apply exactly

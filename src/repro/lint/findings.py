@@ -3,18 +3,18 @@
 A finding is one diagnosed problem: which rule fired, where, how bad.
 The AST lint, the interprocedural dataflow analyzer, the topology/config
 validator, and the fabric analyzer all emit this one dataclass, so
-``repro-noc check`` can aggregate, baseline, and export them uniformly.
+``repro-noc check`` can aggregate and export them uniformly.
 
 Severity is a three-level scale (``error`` > ``warn`` > ``info``); the
 legacy spelling ``"warning"`` is normalized to ``"warn"`` on the way in
-so old JSON reports and baselines keep working.
+so old JSON reports keep working.
 
 Every finding carries a **fingerprint**: a short stable hash of the rule,
 the normalized path, and the *content* of the flagged line (not its
 number), so inserting blank lines or comments above a finding does not
-change its identity.  Fingerprints are what the check baseline
-(:mod:`repro.lint.baseline`) and the SARIF exporter
-(:mod:`repro.lint.sarif`) key on.
+change its identity.  Fingerprints are what the SARIF exporter
+(:mod:`repro.lint.sarif`) keys on, so code scanning tracks a finding
+across pushes.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def normalize_context(text: str) -> str:
     """Canonical form of a source line for fingerprinting.
 
     Collapses all whitespace so reformatting (indentation shifts, tab
-    vs space) does not move a finding out of the baseline.
+    vs space) does not change a finding's fingerprint.
     """
     return _WS.sub(" ", text.strip())
 
@@ -60,8 +60,8 @@ def normalize_context(text: str) -> str:
 def normalize_path(path: Optional[str]) -> str:
     """Machine-independent form of a finding path.
 
-    Lint paths are absolute (wherever the package is installed); the
-    baseline must match across checkouts, so the path is cut down to the
+    Lint paths are absolute (wherever the package is installed);
+    fingerprints must match across checkouts, so the path is cut down to the
     ``repro/``-rooted suffix when one exists, else the basename.
     """
     if not path:
@@ -88,8 +88,8 @@ class Finding:
     line: Optional[int] = None
     col: Optional[int] = None
     #: The source line (or other stable content) the finding anchors to;
-    #: feeds the fingerprint so line renumbering cannot move a finding
-    #: in or out of the baseline.  Falls back to the message when the
+    #: feeds the fingerprint so line renumbering cannot change a
+    #: finding's identity.  Falls back to the message when the
     #: emitting layer has no source text (e.g. validator findings).
     context: Optional[str] = field(default=None, compare=False)
 

@@ -3,22 +3,20 @@
 ``run_check`` runs, in order:
 
 1. the per-file AST lint over the installed ``repro`` package (or any
-   source tree given), memoized per file by mtime+size
-   (:mod:`repro.lint.cache`) so warm runs skip unchanged files;
+   source tree given);
 2. the whole-program interprocedural dataflow analysis
    (:mod:`repro.lint.dataflow`) over the same sources;
 3. static validation of the built-in topologies and any scenario JSON
    files passed on the command line;
 4. unused-suppression detection: after every line-anchored layer has
    run, any inline ``# repro: allow[rule]`` comment that never fired
-   becomes a warn finding;
-5. baseline subtraction (:mod:`repro.lint.baseline`): findings whose
-   fingerprint is in the checked-in baseline are absorbed, stale
-   entries surface as info findings.
+   becomes a warn finding.
 
-The report's exit code is non-zero iff any surviving finding is at or
-above the ``fail_on`` severity (default ``error``), so CI can gate on
-it directly and tighten to ``warn`` where wanted.
+Every run is one cold pass: nothing is cached between runs and nothing
+is subtracted from the findings.  The report's exit code is non-zero
+iff any finding is at or above the ``fail_on`` severity (default
+``error``), so CI can gate on it directly and tighten to ``warn`` where
+wanted.
 """
 
 from __future__ import annotations
@@ -27,11 +25,9 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import LintCache, default_cache_path, rules_signature
 from repro.lint.dataflow import analyze_sources
 from repro.lint.findings import Finding, Severity
-from repro.lint.rules import DEFAULT_RULES, iter_python_files, lint_source
+from repro.lint.rules import iter_python_files, lint_source
 from repro.lint.suppress import Suppressions
 from repro.lint.validator import validate_scenario_file, validate_spec
 from repro.reporting import FindingsReport
@@ -50,28 +46,16 @@ class CheckReport(FindingsReport):
     modules_analyzed: int = 0
     topologies_validated: int = 0
     scenarios_validated: int = 0
-    #: Findings absorbed by the baseline (reported in the summary so a
-    #: "clean" run with a fat baseline does not read as a clean tree).
-    baseline_suppressed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def format(self) -> str:
         lines = self.format_findings()
-        summary = (
+        lines.append(
             f"checked {self.files_linted} source files "
             f"({self.modules_analyzed} dataflow modules), "
             f"{self.topologies_validated} built-in topologies, "
             f"{self.scenarios_validated} scenario files: "
             f"{len(self.errors)} errors, {len(self.warnings)} warnings, "
-            f"{len(self.infos)} notes"
-        )
-        if self.baseline_suppressed:
-            summary += f" ({self.baseline_suppressed} baselined)"
-        if self.cache_hits or self.cache_misses:
-            summary += (f" [cache: {self.cache_hits} hits, "
-                        f"{self.cache_misses} misses]")
-        lines.append(summary)
+            f"{len(self.infos)} notes")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -81,9 +65,6 @@ class CheckReport(FindingsReport):
             modules_analyzed=self.modules_analyzed,
             topologies_validated=self.topologies_validated,
             scenarios_validated=self.scenarios_validated,
-            baseline_suppressed=self.baseline_suppressed,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
         )
         return out
 
@@ -127,20 +108,9 @@ def run_check(
     lint: bool = True,
     builtin: bool = True,
     dataflow: bool = True,
-    baseline_path: Optional[str] = None,
-    write_baseline: bool = False,
     fail_on: str = Severity.ERROR,
-    use_cache: bool = True,
-    cache_path: Optional[str] = None,
 ) -> CheckReport:
-    """Run every static layer and aggregate the findings.
-
-    ``baseline_path`` subtracts the checked-in baseline (and reports its
-    stale entries); ``write_baseline`` regenerates that file from this
-    run's findings first, so the run itself exits clean.  ``use_cache``
-    memoizes the per-file lint by mtime+size (the dataflow pass always
-    runs whole-program).
-    """
+    """Run every static layer and aggregate the findings."""
     report = CheckReport(fail_on=Severity.normalize(fail_on))
     suppressions: Dict[str, Suppressions] = {}
     sources: Dict[str, str] = {}
@@ -161,31 +131,12 @@ def run_check(
                         files.append(filepath)
                         with open(filepath, "r", encoding="utf-8") as fh:
                             sources[filepath] = fh.read()
-        cache = None
-        if use_cache:
-            cache = LintCache.load(cache_path or default_cache_path(),
-                                   rules_signature(DEFAULT_RULES))
         for filepath in files:
             supp = Suppressions(sources[filepath], filepath)
             suppressions[filepath] = supp
-            cached = cache.lookup(filepath) if cache is not None else None
-            if cached is not None:
-                findings, used = cached
-                # Replay which suppressions the cached lint consumed, so
-                # unused-suppression does not false-fire on cache hits.
-                for line, rule in used:
-                    supp.mark_used(line, rule)
-            else:
-                findings = lint_source(sources[filepath], filepath,
-                                       suppressions=supp)
-                if cache is not None:
-                    cache.store(filepath, findings, supp.used())
-            report.findings.extend(findings)
+            report.findings.extend(
+                lint_source(sources[filepath], filepath, suppressions=supp))
         report.files_linted = len(files)
-        if cache is not None:
-            report.cache_hits = cache.hits
-            report.cache_misses = cache.misses
-            cache.save()
         if dataflow and sources:
             flow = analyze_sources(sources, suppressions)
             report.findings.extend(flow.findings)
@@ -202,11 +153,4 @@ def run_check(
     for path in scenario_paths:
         report.findings.extend(validate_scenario_file(path))
         report.scenarios_validated += 1
-    if write_baseline and baseline_path:
-        Baseline.from_findings(report.findings).dump(baseline_path)
-    if baseline_path and os.path.exists(baseline_path):
-        baseline = Baseline.load(baseline_path)
-        new, absorbed, stale = baseline.apply(report.findings)
-        report.findings = new + stale
-        report.baseline_suppressed = len(absorbed)
     return report

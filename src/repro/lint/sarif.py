@@ -7,8 +7,7 @@ emits the minimal valid document: one ``run`` whose ``tool.driver``
 declares every rule that fired (id + short description) and one
 ``result`` per finding with ``ruleId``, ``level``, a physical location,
 and the finding's stable fingerprint under ``partialFingerprints`` so
-code scanning tracks an annotation across pushes the same way the local
-baseline does.
+code scanning tracks an annotation across pushes.
 
 Severity maps ``error -> error``, ``warn -> warning``, ``info -> note``
 (SARIF's level vocabulary).  Paths are emitted repo-relative via
@@ -56,7 +55,6 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
     "config-mutated-after-handoff": "config dataclass mutated after "
                                     "handoff to a fabric or sweep",
     "unused-suppression": "inline allow[...] comment that never fired",
-    "stale-baseline-entry": "baseline entry that matched no finding",
     "syntax": "file does not parse",
 }
 

@@ -76,11 +76,6 @@ class Suppressions:
             return True
         return False
 
-    def mark_used(self, line: int, rule: str) -> None:
-        """Replay a usage recorded by an earlier (cached) run."""
-        if rule in self._allowed.get(line, ()):
-            self._used.add((line, rule))
-
     def used(self) -> List[Tuple[int, str]]:
         return sorted(self._used)
 

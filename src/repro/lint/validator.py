@@ -517,8 +517,9 @@ def _config_from_dict(raw: dict, path: Optional[str],
         elif key in RETIRED_CONFIG_KEYS:
             findings.append(_warn(
                 "retired-config-key",
-                f"config key '{key}' is retired and ignored (every fabric "
-                "now steps serially; see docs/PERFORMANCE.md)", path))
+                f"config key '{key}' is retired and ignored: it never "
+                "changed simulated results (see docs/PERFORMANCE.md)",
+                path))
         elif key not in _CONFIG_KEYS:
             findings.append(_err(
                 "unknown-config-key",

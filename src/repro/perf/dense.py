@@ -61,7 +61,7 @@ except ImportError:  # pragma: no cover - exercised only on bare installs
 
 from repro.core.routing import ring_direction
 
-__all__ = ["DenseRingEngine", "EngineSelector", "dense_ineligible_reason",
+__all__ = ["DenseRingEngine", "dense_ineligible_reason",
            "numpy_available"]
 
 
@@ -511,29 +511,3 @@ class DenseRingEngine:
 
     def occupancy(self) -> int:
         return sum(self.occ)
-
-
-class EngineSelector:
-    """Occupancy-driven tier switching for a fabric's rings.
-
-    Rings in ``engine="auto"`` mode already self-sample on the
-    ``engine_check_every`` cadence inside ``Ring.step``; this helper is
-    the ``run_until(on_check=...)`` face of the same mechanism, so a
-    driver that already has a check cadence (drain predicates, the
-    observability snapshot sampler) can ride tier decisions on it
-    instead of adding a second interval:
-
-    >>> sim.run_until(fabric.idle, 10_000, check_every=64,
-    ...               on_check=[EngineSelector(fabric), sampler.sample])
-
-    Calling the selector forces an immediate occupancy evaluation on
-    every auto-mode ring (hysteresis still applies).
-    """
-
-    def __init__(self, fabric):
-        self.fabric = fabric
-
-    def __call__(self, cycle: int) -> None:
-        for ring in self.fabric._ring_list:
-            if ring.engine_mode == "auto":
-                ring._engine_check(cycle)

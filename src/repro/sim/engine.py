@@ -122,9 +122,8 @@ class Simulator:
         :class:`repro.obs.metrics.SnapshotSampler` plugs into: periodic
         measurement rides the existing check cadence instead of adding a
         second bookkeeping interval.  A list/tuple of callables is also
-        accepted and invoked in order, so several riders (a snapshot
-        sampler, a :class:`repro.perf.dense.EngineSelector`) can share
-        the one cadence.
+        accepted and invoked in order, so several riders can share the
+        one cadence.
 
         ``watchdog`` (a :class:`repro.faults.watchdog.ProgressWatchdog`)
         is observed after every step and turns a wedged system into a

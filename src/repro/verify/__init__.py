@@ -7,7 +7,8 @@ Three layers:
 - :mod:`repro.verify.model` — explicit-state bounded model checking of
   small fabrics (safety invariants + liveness via drain analysis);
 - :mod:`repro.verify.replay` — counterexample replay on the real
-  :class:`repro.sim.engine.Simulator` in both fast-path modes.
+  :class:`repro.sim.engine.Simulator` on the ``skip`` and ``ref``
+  stepping tiers.
 
 :mod:`repro.verify.report` ties them together for the CLI.
 """

@@ -5,8 +5,8 @@ deterministic injection schedule.  This module packages it — together
 with the exact topology and config — as a :class:`Counterexample` that
 round-trips through JSON, and re-executes it on a genuine
 :class:`repro.sim.engine.Simulator` (injector component first, fabric
-second, invariant probe last — the standard wiring) in either fast-path
-mode.  A confirmed replay means the abstraction in
+second, invariant probe last — the standard wiring) on the ``skip`` or
+``ref`` stepping tier.  A confirmed replay means the abstraction in
 :mod:`repro.verify.state` did not invent the bug: the shipping simulator
 exhibits it too.
 """
@@ -133,7 +133,8 @@ class Counterexample:
 @dataclass
 class ReplayResult:
     confirmed: bool
-    fast_path: bool
+    #: Stepping tier the replay ran on (``"skip"`` or ``"ref"``).
+    engine: str
     expected_rule: str
     observed_rule: Optional[str] = None
     observed_cycle: Optional[int] = None
@@ -146,7 +147,7 @@ class ReplayResult:
 
 def replay_counterexample(
     ce: Counterexample,
-    fast_path: bool = True,
+    engine: str = "skip",
     max_free_cycles: int = 512,
 ) -> ReplayResult:
     """Re-execute a counterexample schedule on the real simulator.
@@ -163,7 +164,7 @@ def replay_counterexample(
     fabric.stats.keep_samples = False
     for node in fabric.nodes():
         fabric.attach(node, _discard)
-    fabric.set_fast_path(fast_path)
+    fabric.set_engine(engine)
     checker = FabricInvariantChecker(fabric,
                                      max_extra_laps=ce.max_extra_laps)
 
@@ -183,7 +184,7 @@ def replay_counterexample(
     sim.register(fabric)
     sim.register_invariant(checker.check)
 
-    result = ReplayResult(confirmed=False, fast_path=fast_path,
+    result = ReplayResult(confirmed=False, engine=engine,
                           expected_rule=ce.rule,
                           rejected_injections=0)
     try:

@@ -9,7 +9,7 @@ Runs the three verification layers over named systems:
    by design, while the server/AI systems get a note instead of an
    intractable search;
 3. counterexample replay (:mod:`repro.verify.replay`) of every model
-   violation on the real simulator in both fast-path modes.
+   violation on the real simulator on the ``skip`` and ``ref`` tiers.
 
 Exit-code convention matches ``repro-noc check``: 0 clean, 1 findings
 (deadlock-capable cycle, model violation, or a replay that failed to
@@ -228,11 +228,10 @@ class VerifyReport:
             elif system.model_note:
                 lines.append(f"  model: skipped ({system.model_note})")
             for replay in system.replays:
-                mode = "fast" if replay.fast_path else "reference"
                 verdict = ("confirmed" if replay.confirmed
                            else "NOT CONFIRMED")
                 lines.append(
-                    f"  replay[{mode}]: {verdict} "
+                    f"  replay[{replay.engine}]: {verdict} "
                     f"({replay.observed_rule or 'no violation'}) "
                     f"{replay.detail}")
             for stage, secs in sorted(system.timings.items()):
@@ -295,10 +294,9 @@ def run_verify(
                 system.counterexamples.append(ce)
                 if replay:
                     timer.start("replay")
-                    system.replays.append(
-                        replay_counterexample(ce, fast_path=True))
-                    system.replays.append(
-                        replay_counterexample(ce, fast_path=False))
+                    for engine in ("skip", "ref"):
+                        system.replays.append(
+                            replay_counterexample(ce, engine=engine))
                     timer.stop()
         system.timings = timer.timings
         report.systems.append(system)

@@ -11,7 +11,8 @@ Two soundness obligations tie :mod:`repro.analyze` to the ground truth:
   ceiling.
 
 Both are checked on single rings, the tiny two-chiplet pair, and the
-full server-CPU topology, in both ``fast_path`` modes.
+full server-CPU topology, on the default ``auto`` engine and on the
+``ref`` reference walk.
 """
 
 import pytest
@@ -28,6 +29,8 @@ from repro.sim.rng import make_rng
 
 SETTINGS = settings(max_examples=12, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+#: The default engine and the reference walk it must match.
+ENGINES = st.sampled_from(["auto", "ref"])
 
 
 def _nodes(topo):
@@ -91,27 +94,27 @@ def assert_bandwidth_upper_bound(topo, config, seed,
 
 @SETTINGS
 @given(n_nodes=st.integers(4, 12), bidirectional=st.booleans(),
-       fast=st.booleans(), pair=st.tuples(st.integers(0, 11),
+       engine=ENGINES, pair=st.tuples(st.integers(0, 11),
                                           st.integers(0, 11)))
 def test_ring_zero_load_latency_is_a_lower_bound(n_nodes, bidirectional,
-                                                 fast, pair):
+                                                 engine, pair):
     topo, nodes = single_ring_topology(n_nodes,
                                        bidirectional=bidirectional)
     src = nodes[pair[0] % n_nodes]
     dst = nodes[pair[1] % n_nodes]
     if src == dst:
         dst = nodes[(pair[1] + 1) % n_nodes]
-    assert_latency_lower_bound(topo, MultiRingConfig(fast_path=fast),
+    assert_latency_lower_bound(topo, MultiRingConfig(engine=engine),
                                src, dst)
 
 
 @SETTINGS
 @given(n_nodes=st.integers(4, 10), bidirectional=st.booleans(),
-       fast=st.booleans(), seed=st.integers(0, 2 ** 16))
+       engine=ENGINES, seed=st.integers(0, 2 ** 16))
 def test_ring_bandwidth_ceiling_is_an_upper_bound(n_nodes, bidirectional,
-                                                  fast, seed):
+                                                  engine, seed):
     topo, _ = single_ring_topology(n_nodes, bidirectional=bidirectional)
-    assert_bandwidth_upper_bound(topo, MultiRingConfig(fast_path=fast),
+    assert_bandwidth_upper_bound(topo, MultiRingConfig(engine=engine),
                                  seed)
 
 
@@ -120,14 +123,14 @@ def test_ring_bandwidth_ceiling_is_an_upper_bound(n_nodes, bidirectional,
 
 @SETTINGS
 @given(nstops=st.integers(3, 6), bidirectional=st.booleans(),
-       link_latency=st.integers(1, 4), fast=st.booleans())
+       link_latency=st.integers(1, 4), engine=ENGINES)
 def test_tiny_pair_zero_load_latency_is_a_lower_bound(
-        nstops, bidirectional, link_latency, fast):
+        nstops, bidirectional, link_latency, engine):
     topo, ring0, ring1 = tiny_pair(nstops=nstops,
                                    nodes_per_ring=min(2, nstops - 1),
                                    bidirectional=bidirectional,
                                    link_latency=link_latency)
-    config = MultiRingConfig(fast_path=fast)
+    config = MultiRingConfig(engine=engine)
     # Cross-chiplet both ways plus one same-ring pair when it exists.
     assert_latency_lower_bound(topo, config, ring0[0], ring1[-1])
     assert_latency_lower_bound(topo, config, ring1[0], ring0[-1])
@@ -136,10 +139,10 @@ def test_tiny_pair_zero_load_latency_is_a_lower_bound(
 
 
 @SETTINGS
-@given(fast=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_tiny_pair_bandwidth_ceiling_is_an_upper_bound(fast, seed):
+@given(engine=ENGINES, seed=st.integers(0, 2 ** 16))
+def test_tiny_pair_bandwidth_ceiling_is_an_upper_bound(engine, seed):
     topo, _, _ = tiny_pair()
-    assert_bandwidth_upper_bound(topo, MultiRingConfig(fast_path=fast),
+    assert_bandwidth_upper_bound(topo, MultiRingConfig(engine=engine),
                                  seed)
 
 
@@ -154,10 +157,10 @@ def server_topology():
     return fabric.topology
 
 
-@pytest.mark.parametrize("fast", [True, False],
+@pytest.mark.parametrize("engine", ["auto", "ref"],
                          ids=["fast-path", "reference"])
-def test_server_zero_load_latency_is_a_lower_bound(server_topology, fast):
-    config = MultiRingConfig(fast_path=fast)
+def test_server_zero_load_latency_is_a_lower_bound(server_topology, engine):
+    config = MultiRingConfig(engine=engine)
     nodes = _nodes(server_topology)
     # The extreme node-id pair crosses the package; spot-check it plus
     # a same-die neighbour pair (exhaustive all-pairs is a CI budget
@@ -168,9 +171,9 @@ def test_server_zero_load_latency_is_a_lower_bound(server_topology, fast):
                                nodes[0], nodes[1])
 
 
-@pytest.mark.parametrize("fast", [True, False],
+@pytest.mark.parametrize("engine", ["auto", "ref"],
                          ids=["fast-path", "reference"])
-def test_server_bandwidth_ceiling_is_an_upper_bound(server_topology, fast):
+def test_server_bandwidth_ceiling_is_an_upper_bound(server_topology, engine):
     assert_bandwidth_upper_bound(server_topology,
-                                 MultiRingConfig(fast_path=fast),
+                                 MultiRingConfig(engine=engine),
                                  seed=7, cycles=150, per_cycle=16)

@@ -150,6 +150,18 @@ def test_parallel_config_keys_accepted_in_scenarios():
     assert sum(f.rule == "retired-config-key" for f in findings) == 3
 
 
+def test_fast_path_is_a_retired_config_key():
+    """``fast_path`` aliased the cycle-identical skip/ref engines; saved
+    scenarios that still carry it validate with a warning."""
+    spec, _, _ = chiplet_pair()
+    raw = {"topology": topology_to_dict(spec),
+           "config": {"fast_path": False}}
+    findings = validate_scenario(raw)
+    assert [f.rule for f in findings if f.rule.endswith("config-key")] == \
+        ["retired-config-key"]
+    assert errors(findings) == []
+
+
 def test_swap_disabled_interchiplet_cycle_detected():
     spec, _, _ = chiplet_pair()
     config = MultiRingConfig(enable_swap=False)

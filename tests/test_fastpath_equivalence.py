@@ -1,11 +1,14 @@
 """Fast stepping must be cycle-for-cycle identical to the reference walk.
 
 ``Ring.step_fast`` only skips station visits it can prove are no-ops, so
-for the same seed the fast and reference (``fast_path=False``) paths
-must produce byte-identical :class:`~repro.fabric.stats.FabricStats` —
+for the same seed the ``engine="skip"`` and ``engine="ref"`` tiers must
+produce byte-identical :class:`~repro.fabric.stats.FabricStats` —
 including per-message latency samples — on every topology and feature
 combination.  These tests drive randomized traffic through both and
-compare.
+compare.  ``step_fast`` keeps an inlined copy of
+``CrossStation.process_lane`` (see docs/PERFORMANCE.md), so every
+structure the copy handles — multi-lane directions, two-interface
+stations, bridges, escape slots — gets a case here.
 """
 
 import pytest
@@ -13,7 +16,11 @@ import pytest
 from repro.core.config import MultiRingConfig
 from repro.core.network import MultiRingFabric
 from repro.core.ring import ExitBucketedSlots, SlotList
-from repro.core.topology import chiplet_pair, single_ring_topology
+from repro.core.topology import (
+    TopologyBuilder,
+    chiplet_pair,
+    single_ring_topology,
+)
 from repro.fabric.message import Message, MessageKind
 from repro.params import QueueParams
 from repro.sim.rng import make_rng
@@ -45,29 +52,56 @@ def run_plan(fabric, plan, cycles, kind=MessageKind.REQUEST):
 
 
 def assert_equivalent(make_fabric, plan, cycles, kind=MessageKind.REQUEST):
-    fast = run_plan(make_fabric(True), plan, cycles, kind)
-    ref = run_plan(make_fabric(False), plan, cycles, kind)
+    fast = run_plan(make_fabric("skip"), plan, cycles, kind)
+    ref = run_plan(make_fabric("ref"), plan, cycles, kind)
     assert fast == ref, (
         f"fast/reference stats diverge:\nfast={fast}\nref ={ref}")
     assert fast.delivered > 0 or not plan
     return fast
 
 
-def ring_factory(nstops, bidirectional, **config_kwargs):
-    def make(fast):
-        topo, _ = single_ring_topology(nstops, bidirectional=bidirectional)
+def ring_factory(nstops, bidirectional, interfaces=1, **config_kwargs):
+    """A ring whose every stop hosts ``interfaces`` node interfaces; with
+    two, each station round-robins injection between its ports
+    (Section 4.1)."""
+    def make(engine):
+        builder = TopologyBuilder()
+        builder.add_ring(0, nstops, bidirectional)
+        for stop in range(nstops):
+            for _ in range(interfaces):
+                builder.add_node(0, stop)
         return MultiRingFabric(
-            topo, MultiRingConfig(fast_path=fast, **config_kwargs))
+            builder.build(), MultiRingConfig(engine=engine, **config_kwargs))
     return make
 
 
-@pytest.mark.parametrize("bidirectional", [True, False],
-                         ids=["full-ring", "half-ring"])
-@pytest.mark.parametrize("per_cycle", [1, 8], ids=["light", "saturated"])
-def test_ring_equivalence(bidirectional, per_cycle):
-    plan = uniform_plan(list(range(12)), 600, per_cycle,
+def _ring_cases():
+    """(per_cycle, bidirectional, lanes, interfaces) with ids.  The AI
+    mesh runs two-lane rings, so every load/direction shape also runs
+    two-lane, with one and with two interfaces per stop."""
+    cases = []
+    for lanes, interfaces, suffix in ((1, 1, ""),
+                                      (2, 1, "-two-lanes"),
+                                      (1, 2, "-two-interfaces"),
+                                      (2, 2, "-two-lanes-two-interfaces")):
+        for bidirectional, ring in ((True, "full-ring"),
+                                    (False, "half-ring")):
+            for per_cycle, load in ((1, "light"), (8, "saturated")):
+                cases.append(pytest.param(
+                    per_cycle, bidirectional, lanes, interfaces,
+                    id=f"{load}-{ring}{suffix}"))
+    return cases
+
+
+@pytest.mark.parametrize("per_cycle, bidirectional, lanes, interfaces",
+                         _ring_cases())
+def test_ring_equivalence(per_cycle, bidirectional, lanes, interfaces):
+    plan = uniform_plan(list(range(12 * interfaces)), 600, per_cycle,
                         seed=per_cycle * 10 + bidirectional)
-    assert_equivalent(ring_factory(12, bidirectional), plan, 600)
+    assert_equivalent(
+        ring_factory(12, bidirectional, interfaces,
+                     lanes_per_direction=lanes),
+        plan, 600)
 
 
 @pytest.mark.parametrize("config_kwargs", [
@@ -75,7 +109,9 @@ def test_ring_equivalence(bidirectional, per_cycle):
     dict(enable_itags=False),
     dict(enable_etags=False, enable_itags=False),
     dict(escape_slot_period=4),
-], ids=["no-etags", "no-itags", "no-tags", "escape-slots"])
+    dict(escape_slot_period=4, lanes_per_direction=2),
+], ids=["no-etags", "no-itags", "no-tags", "escape-slots",
+        "escape-slots-two-lanes"])
 def test_feature_ablation_equivalence(config_kwargs):
     plan = uniform_plan(list(range(12)), 600, 6, seed=99)
     assert_equivalent(ring_factory(12, True, **config_kwargs), plan, 600)
@@ -108,10 +144,10 @@ def test_chiplet_pair_swap_equivalence():
         for src in ring1:
             plan.append((cycle, src, rng.choice(ring0)))
 
-    def make(fast):
+    def make(engine):
         t, _, _ = chiplet_pair(nodes_per_ring=4, stop_spacing=1)
         return MultiRingFabric(t, MultiRingConfig(
-            queues=queues, eject_drain_per_cycle=1, fast_path=fast))
+            queues=queues, eject_drain_per_cycle=1, engine=engine))
 
     stats = assert_equivalent(make, plan, 800, kind=MessageKind.DATA)
     assert stats.swap_events > 0, "scenario failed to exercise SWAP/DRM"
@@ -134,10 +170,10 @@ def test_fault_injection_equivalence():
         plan.append((cycle, rng.choice(ring0), rng.choice(ring1)))
         plan.append((cycle, rng.choice(ring1), rng.choice(ring0)))
 
-    def make(fast):
+    def make(engine):
         t, _, _ = chiplet_pair(nodes_per_ring=4)
         fabric = MultiRingFabric(t, MultiRingConfig(
-            reliability=LinkReliabilityConfig(), fast_path=fast))
+            reliability=LinkReliabilityConfig(), engine=engine))
         fabric.attach_fault_injector(
             FaultInjector(seed=5)
             .add(BitErrorModel(5e-2))
@@ -156,8 +192,8 @@ def test_fast_path_clean_under_invariant_checker():
     them does not perturb the run."""
     plan = uniform_plan(list(range(12)), 400, 6, seed=21)
     factory = ring_factory(12, True)
-    plain = run_plan(factory(True), plan, 400)
-    checked_fabric = factory(True)
+    plain = run_plan(factory("skip"), plan, 400)
+    checked_fabric = factory("skip")
     checker = checked_fabric.attach_invariant_checker()
     checked = run_plan(checked_fabric, plan, 400)
     assert checker.checks_run > 0
@@ -213,7 +249,7 @@ def test_exit_buckets_reverse_direction():
 
 def test_enqueue_inject_registers_station():
     topo, nodes = single_ring_topology(6, bidirectional=True)
-    fabric = MultiRingFabric(topo, MultiRingConfig(fast_path=True))
+    fabric = MultiRingFabric(topo, MultiRingConfig(engine="skip"))
     ring = fabric.rings[0]
     assert not ring.pending_stations
     fabric.try_inject(Message(src=nodes[0], dst=nodes[3], msg_id=0))

@@ -1,10 +1,11 @@
 """The unified findings pipeline: severity, fingerprints, suppressions,
-baseline, SARIF, and the per-file check cache.
+SARIF, and the ``run_check`` orchestration.
 
 The load-bearing property is fingerprint stability: a finding's identity
 is (rule, normalized path, normalized line content) — *not* its line
-number — so edits above a finding must not move it in or out of the
-baseline.  A hypothesis property drives that directly.
+number — so edits above a finding must not change it, and code scanning
+keeps tracking the same annotation.  A hypothesis property drives that
+directly.
 """
 
 import json
@@ -15,15 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import LintCache, rules_signature
 from repro.lint.findings import (
     Finding,
     Severity,
     normalize_context,
     normalize_path,
 )
-from repro.lint.rules import DEFAULT_RULES, lint_source
+from repro.lint.rules import lint_source
 from repro.lint.runner import run_check
 from repro.lint.sarif import findings_to_sarif
 from repro.lint.suppress import Suppressions
@@ -155,43 +154,6 @@ def test_legacy_lint_prefix_still_accepted():
     assert lint_source(source, SIM_PATH) == []
 
 
-# ---------------------------------------------------------------- baseline
-
-def test_baseline_roundtrip_and_split(tmp_path):
-    findings = lint_source(DEFECT_SOURCE, SIM_PATH)
-    assert findings
-    path = str(tmp_path / "baseline.json")
-    Baseline.from_findings(findings).dump(path)
-    loaded = Baseline.load(path)
-    new, absorbed, stale = loaded.apply(findings)
-    assert new == [] and stale == []
-    assert len(absorbed) == len(findings)
-
-
-def test_baseline_reports_stale_entries():
-    findings = lint_source(DEFECT_SOURCE, SIM_PATH)
-    baseline = Baseline.from_findings(findings)
-    new, absorbed, stale = baseline.apply([])  # all defects fixed
-    assert new == [] and absorbed == []
-    assert len(stale) == len(baseline)
-    assert all(f.rule == "stale-baseline-entry" for f in stale)
-    assert all(f.severity == Severity.INFO for f in stale)
-
-
-def test_baseline_survives_line_shift():
-    baseline = Baseline.from_findings(lint_source(DEFECT_SOURCE, SIM_PATH))
-    shifted = lint_source("# header\n\n" + DEFECT_SOURCE, SIM_PATH)
-    new, absorbed, stale = baseline.apply(shifted)
-    assert new == [] and stale == []
-
-
-def test_baseline_rejects_non_baseline_json(tmp_path):
-    path = tmp_path / "not-baseline.json"
-    path.write_text("{}")
-    with pytest.raises(ValueError):
-        Baseline.load(str(path))
-
-
 # ------------------------------------------------------------------- SARIF
 
 def test_sarif_document_shape():
@@ -200,7 +162,7 @@ def test_sarif_document_shape():
                 path="/x/src/repro/sim/a.py", line=3, col=0, context="c"),
         Finding(rule="unused-suppression", message="stale",
                 severity=Severity.WARN, path="/x/src/repro/b.py", line=7),
-        Finding(rule="stale-baseline-entry", message="gone",
+        Finding(rule="missing-path", message="gone",
                 severity=Severity.INFO),
     ]
     doc = findings_to_sarif(findings)
@@ -210,7 +172,7 @@ def test_sarif_document_shape():
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro-noc-check"
     assert {r["id"] for r in driver["rules"]} == {
-        "determinism", "unused-suppression", "stale-baseline-entry"}
+        "determinism", "unused-suppression", "missing-path"}
     assert all(r["shortDescription"]["text"] for r in driver["rules"])
     levels = [r["level"] for r in run["results"]]
     assert levels == ["error", "warning", "note"]
@@ -235,7 +197,7 @@ def test_sarif_validates_against_bundled_schema_subset():
         assert "text" in result["message"]
 
 
-# ----------------------------------------------------- run_check + cache
+# --------------------------------------------------------------- run_check
 
 def _write_tree(root, defect=True):
     pkg = root / "repro" / "sim"
@@ -247,96 +209,37 @@ def _write_tree(root, defect=True):
     return str(root)
 
 
-def test_run_check_cache_warm_run_replays_findings(tmp_path):
-    src = _write_tree(tmp_path / "src")
-    cache_file = str(tmp_path / "cache.json")
-    cold = run_check(src_paths=[src], builtin=False,
-                     cache_path=cache_file)
-    warm = run_check(src_paths=[src], builtin=False,
-                     cache_path=cache_file)
-    assert cold.cache_hits == 0 and cold.cache_misses == 3
-    assert warm.cache_hits == 3 and warm.cache_misses == 0
-    assert [f.fingerprint for f in cold.findings] == \
-        [f.fingerprint for f in warm.findings]
-    assert warm.exit_code == 1  # defect still reported from cache
-
-
-def test_run_check_cache_invalidates_on_edit(tmp_path):
-    src = _write_tree(tmp_path / "src", defect=True)
-    cache_file = str(tmp_path / "cache.json")
-    run_check(src_paths=[src], builtin=False, cache_path=cache_file)
-    model = tmp_path / "src" / "repro" / "sim" / "model.py"
-    model.write_text("VALUE = 1\n")
-    os.utime(model, (1, 1))  # force an mtime change either direction
-    fixed = run_check(src_paths=[src], builtin=False,
-                      cache_path=cache_file)
-    assert fixed.cache_misses >= 1
-    assert fixed.errors == []
-
-
-def test_run_check_cache_replays_suppression_usage(tmp_path):
-    """A cache hit must not false-fire unused-suppression."""
+def test_run_check_honours_used_suppression(tmp_path):
+    """A suppression consumed by the lint layer is not reported as
+    unused once every layer has run."""
     src = _write_tree(tmp_path / "src", defect=False)
     model = tmp_path / "src" / "repro" / "sim" / "model.py"
     model.write_text("import random  # repro: allow[determinism]\n")
-    cache_file = str(tmp_path / "cache.json")
-    cold = run_check(src_paths=[src], builtin=False,
-                     cache_path=cache_file)
-    warm = run_check(src_paths=[src], builtin=False,
-                     cache_path=cache_file)
-    assert [f.rule for f in cold.findings] == []
-    assert [f.rule for f in warm.findings] == []
-    assert warm.cache_hits == 3
+    report = run_check(src_paths=[src], builtin=False)
+    assert [f.rule for f in report.findings] == []
+    assert report.fail_on == Severity.ERROR
 
 
-def test_run_check_no_cache_bypasses(tmp_path):
+def test_run_check_writes_no_cache(tmp_path, monkeypatch):
+    """One cold pass: a check leaves nothing behind under the user's
+    cache or home directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
     src = _write_tree(tmp_path / "src")
-    cache_file = str(tmp_path / "cache.json")
-    report = run_check(src_paths=[src], builtin=False, use_cache=False,
-                       cache_path=cache_file)
-    assert report.cache_hits == 0 and report.cache_misses == 0
-    assert not os.path.exists(cache_file)
-
-
-def test_run_check_baseline_flow(tmp_path):
-    src = _write_tree(tmp_path / "src")
-    baseline_file = str(tmp_path / "baseline.json")
-    # write-baseline absorbs everything and exits clean
-    written = run_check(src_paths=[src], builtin=False, use_cache=False,
-                        baseline_path=baseline_file, write_baseline=True)
-    assert written.exit_code == 0
-    assert written.baseline_suppressed > 0
-    # fixing the defect surfaces the stale entries as notes
-    model = tmp_path / "src" / "repro" / "sim" / "model.py"
-    model.write_text("VALUE = 1\n")
-    fixed = run_check(src_paths=[src], builtin=False, use_cache=False,
-                      baseline_path=baseline_file)
-    assert fixed.exit_code == 0
-    assert {f.rule for f in fixed.findings} == {"stale-baseline-entry"}
-    assert fixed.fail_on == Severity.ERROR
+    first = run_check(src_paths=[src], builtin=False)
+    second = run_check(src_paths=[src], builtin=False)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
+    assert [f.fingerprint for f in first.findings] == \
+        [f.fingerprint for f in second.findings]
+    assert second.exit_code == 1
 
 
 def test_run_check_dataflow_layer_fires(tmp_path):
     src = _write_tree(tmp_path / "src", defect=True)
-    report = run_check(src_paths=[src], builtin=False, use_cache=False)
+    report = run_check(src_paths=[src], builtin=False)
     rules = {f.rule for f in report.findings}
     assert "determinism" in rules       # per-file lint layer
     assert "rng-not-rooted" in rules    # interprocedural layer
     assert report.modules_analyzed == 3
-    off = run_check(src_paths=[src], builtin=False, use_cache=False,
-                    dataflow=False)
+    off = run_check(src_paths=[src], builtin=False, dataflow=False)
     assert "rng-not-rooted" not in {f.rule for f in off.findings}
-
-
-def test_rules_signature_changes_with_rule_set():
-    assert rules_signature(DEFAULT_RULES) != \
-        rules_signature(list(DEFAULT_RULES)[:2])
-
-
-def test_cache_drops_on_signature_mismatch(tmp_path):
-    path = str(tmp_path / "cache.json")
-    cache = LintCache.load(path, "sig-a")
-    cache.store(__file__, [], [])
-    cache.save()
-    reloaded = LintCache.load(path, "sig-b")
-    assert reloaded.entries == {}

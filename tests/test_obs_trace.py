@@ -42,26 +42,26 @@ def _drive(fabric, cycles=600, inject_until=300, seed=42):
         fabric.step(cycle)
 
 
-def _traced_run(build, fast):
-    fabric = build(fast)
+def _traced_run(build, engine):
+    fabric = build(engine)
     recorder = fabric.attach_trace_recorder()
     _drive(fabric)
     return fabric, recorder
 
 
-def _build_pair(fast):
+def _build_pair(engine):
     topo, _, _ = chiplet_pair()
-    return MultiRingFabric(topo, MultiRingConfig(fast_path=fast))
+    return MultiRingFabric(topo, MultiRingConfig(engine=engine))
 
 
-def _build_tiny(fast):
+def _build_tiny(engine):
     topo, _, _ = tiny_pair()
-    return MultiRingFabric(topo, MultiRingConfig(fast_path=fast))
+    return MultiRingFabric(topo, MultiRingConfig(engine=engine))
 
 
-def _build_server(fast):
+def _build_server(engine):
     fabric, _, _ = build_server_system(
-        "multiring", ring_config=MultiRingConfig(fast_path=fast))
+        "multiring", ring_config=MultiRingConfig(engine=engine))
     return fabric
 
 
@@ -69,7 +69,7 @@ def _build_server(fast):
 
 
 def test_traced_tiny_pair_stream_validates():
-    fabric, recorder = _traced_run(_build_tiny, fast=True)
+    fabric, recorder = _traced_run(_build_tiny, engine="auto")
     events = recorder.sorted_events()
     assert fabric.stats.delivered > 0
     assert events, "a delivering run must produce events"
@@ -93,8 +93,8 @@ def test_validator_flags_bad_events():
 @pytest.mark.parametrize("build", [_build_tiny, _build_pair, _build_server],
                          ids=["tiny_pair", "chiplet_pair", "server"])
 def test_fast_and_reference_streams_byte_identical(build):
-    fast_fabric, fast_rec = _traced_run(build, fast=True)
-    ref_fabric, ref_rec = _traced_run(build, fast=False)
+    fast_fabric, fast_rec = _traced_run(build, engine="auto")
+    ref_fabric, ref_rec = _traced_run(build, engine="ref")
     assert fast_fabric.stats.delivered > 0
     assert events_to_jsonl(fast_rec.sorted_events()) == \
         events_to_jsonl(ref_rec.sorted_events())
@@ -102,8 +102,8 @@ def test_fast_and_reference_streams_byte_identical(build):
 
 
 def test_tracing_does_not_perturb_stats():
-    traced_fabric, _ = _traced_run(_build_pair, fast=True)
-    plain = _build_pair(True)
+    traced_fabric, _ = _traced_run(_build_pair, engine="auto")
+    plain = _build_pair("auto")
     _drive(plain)
     # FabricStats equality ignores the recorder, so this compares every
     # counter and latency sample of the traced run against the untraced one.
@@ -114,7 +114,7 @@ def test_tracing_does_not_perturb_stats():
 
 
 def test_kind_filtering():
-    fabric = _build_tiny(True)
+    fabric = _build_tiny("auto")
     recorder = fabric.attach_trace_recorder(kinds=("eject",))
     _drive(fabric)
     events = recorder.sorted_events()
@@ -122,7 +122,7 @@ def test_kind_filtering():
 
 
 def test_recorder_limit_counts_dropped_events():
-    fabric = _build_tiny(True)
+    fabric = _build_tiny("auto")
     recorder = fabric.attach_trace_recorder(limit=5)
     _drive(fabric)
     assert len(recorder) == 5
@@ -148,7 +148,7 @@ def test_recorder_clear():
 
 
 def test_jsonl_roundtrip():
-    _, recorder = _traced_run(_build_pair, fast=True)
+    _, recorder = _traced_run(_build_pair, engine="auto")
     events = recorder.sorted_events()
     fh = io.StringIO()
     assert write_jsonl(events, fh) == len(events)
@@ -157,7 +157,7 @@ def test_jsonl_roundtrip():
 
 
 def test_chrome_trace_loads_with_ring_and_bridge_tracks():
-    _, recorder = _traced_run(_build_pair, fast=True)
+    _, recorder = _traced_run(_build_pair, engine="auto")
     fh = io.StringIO()
     written = write_chrome_trace(recorder.sorted_events(), fh)
     assert written > 0

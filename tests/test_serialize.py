@@ -134,11 +134,13 @@ def test_config_dict_defaults_missing_keys():
 
 
 def test_config_dict_drops_retired_keys():
-    """Saves written while the parallel stepper existed keep loading."""
+    """Saves written while the parallel stepper and the ``fast_path``
+    alias existed keep loading."""
     from repro.core.config import RETIRED_CONFIG_KEYS, MultiRingConfig
     from repro.core.serialize import config_from_dict, config_to_dict
 
     raw = config_to_dict(MultiRingConfig(engine="skip"))
     assert not RETIRED_CONFIG_KEYS & set(raw)
-    raw.update(parallel_step=True, parallel_workers=3, parallel_window=4)
+    raw.update(parallel_step=True, parallel_workers=3, parallel_window=4,
+               fast_path=False)
     assert config_from_dict(raw) == MultiRingConfig(engine="skip")

@@ -55,8 +55,8 @@ def test_verify_no_swap_counterexample_and_replay_flow(tmp_path, capsys):
                  "--save-counterexample", str(ce_path)]) == 1
     out = capsys.readouterr().out
     assert "deadlock-capable" in out
-    assert "replay[fast]: confirmed" in out
-    assert "replay[reference]: confirmed" in out
+    assert "replay[skip]: confirmed" in out
+    assert "replay[ref]: confirmed" in out
     assert ce_path.exists()
 
     # The saved counterexample replays standalone via --replay.

@@ -94,7 +94,7 @@ def test_healthy_pair_is_exhaustively_clean():
 @pytest.mark.model_check
 def test_no_swap_counterexample_replays_in_both_modes():
     """Acceptance: SWAP disabled => the checker finds a violating path
-    and the real simulator reproduces it with fast_path on and off."""
+    and the real simulator reproduces it on the skip and ref engines."""
     spec, config, pairs = verify_pair_system(no_swap=True)
     result = ModelChecker(spec, config, pairs, max_states=5000,
                           max_in_flight=24, liveness=False).run()
@@ -105,8 +105,9 @@ def test_no_swap_counterexample_replays_in_both_modes():
     assert len(violation.schedule) == violation.cycle + 1
 
     ce = Counterexample.from_violation(violation, spec, config)
-    for fast in (True, False):
-        replay = replay_counterexample(ce, fast_path=fast)
+    for engine in ("skip", "ref"):
+        replay = replay_counterexample(ce, engine=engine)
+        assert replay.engine == engine
         assert replay.confirmed, replay.detail
         assert replay.observed_rule == "deflection-bound"
         assert replay.observed_cycle == violation.cycle
@@ -123,4 +124,4 @@ def test_counterexample_round_trips_through_json(tmp_path):
     loaded = Counterexample.load(str(path))
     assert loaded.schedule == ce.schedule
     assert loaded.rule == ce.rule
-    assert replay_counterexample(loaded, fast_path=True).confirmed
+    assert replay_counterexample(loaded, engine="skip").confirmed
