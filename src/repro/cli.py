@@ -216,52 +216,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import bench
-
-    cycles = args.cycles if args.cycles else bench.SMOKE_CYCLES
-    report = bench.run_smoke_suite(repeats=args.repeats,
-                                   reference=args.reference,
-                                   cycles=cycles,
-                                   engine=args.engine,
-                                   journal=args.journal,
-                                   resume=args.resume)
-    print(bench.format_report(report))
-    if args.json:
-        bench.write_report(report, args.json)
-        print(f"wrote {args.json}")
-    if report.get("failed_cases", 0) > args.max_failures:
-        print(f"FAILED cases: {report['failed_cases']} exceed "
-              f"--max-failures {args.max_failures}", file=sys.stderr)
-        return EXIT_MAX_FAILURES
-    if args.reference:
-        # The saturated-case floor is calibrated against the committed
-        # measurement budget; short --cycles overrides amortize the
-        # dense tier's materialize cost too poorly to judge it.
-        if cycles >= bench.SMOKE_CYCLES:
-            gate_failures = bench.saturated_speedup_failures(report)
-            if gate_failures:
-                for failure in gate_failures:
-                    print(f"SATURATED-CASE GATE: {failure}",
-                          file=sys.stderr)
-                return 1
-        else:
-            print(f"saturated-case gate skipped: cycles={cycles} below "
-                  f"the committed budget ({bench.SMOKE_CYCLES})",
-                  file=sys.stderr)
-    if args.baseline:
-        baseline = bench.load_report(args.baseline)
-        failures = bench.compare_to_baseline(report, baseline,
-                                             args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"no regression beyond {args.max_regression:.0%} vs "
-              f"{args.baseline}")
-    return 0
-
-
 def _cmd_faults(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -635,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sarif", metavar="FILE",
                    help="also write findings as SARIF 2.1.0 (for GitHub "
                         "code scanning)")
-    p.add_argument("--fail-on", choices=["error", "warn", "info"],
+    p.add_argument("--fail-on", choices=["error", "warn"],
                    default="error",
                    help="lowest severity that fails the run "
                         "(default: error)")
@@ -850,48 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="persist per-point results under DIR and reuse "
                         "them on later runs")
     p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser(
-        "bench",
-        help="fabric stepping throughput: the smoke suite behind "
-             "BENCH_fabric.json")
-    p.add_argument("--smoke", action="store_true",
-                   help="run the fixed smoke suite (the default and "
-                        "currently only suite)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing repeats per case (best-of-N)")
-    p.add_argument("--cycles", type=int,
-                   default=None,
-                   help="cycles per case (default: the committed-"
-                        "trajectory value; override for quick local "
-                        "runs only)")
-    p.add_argument("--reference", action="store_true",
-                   help="also time the reference step, verify the "
-                        "engine under test matches its stats, and gate "
-                        "saturated cases on speedup >= 1.0")
-    p.add_argument("--engine", choices=["auto", "ref", "skip", "dense"],
-                   default="auto",
-                   help="stepping-engine mode to time (default: auto, "
-                        "the shipping selector; use ref/skip/dense for "
-                        "A/B runs)")
-    p.add_argument("--json", metavar="FILE",
-                   help="write the machine-readable report to FILE")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="compare against a committed BENCH_fabric.json "
-                        "and fail on regression")
-    p.add_argument("--max-regression", type=float, default=0.25,
-                   help="allowed fractional drop in normalized "
-                        "throughput vs the baseline (default 0.25)")
-    p.add_argument("--journal", metavar="FILE",
-                   help="append per-case results to a crash-safe JSONL "
-                        "journal as they complete")
-    p.add_argument("--resume", action="store_true",
-                   help="replay completed cases from --journal instead "
-                        "of re-timing them (failed cases re-run)")
-    p.add_argument("--max-failures", type=int, default=0, metavar="N",
-                   help=f"exit {EXIT_MAX_FAILURES} when more than N "
-                        "cases fail (default 0)")
-    p.set_defaults(fn=_cmd_bench)
 
     return parser
 

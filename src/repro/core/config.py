@@ -170,15 +170,6 @@ class MultiRingConfig:
     #:   ``dense`` per ring from measured slot occupancy, with
     #:   hysteresis.  All four tiers are cycle-for-cycle identical.
     engine: str = "auto"
-    #: Cycles between occupancy samples of the ``"auto"`` engine
-    #: selector (each ring samples itself inside ``Ring.step``).
-    engine_check_every: int = 64
-    #: ``"auto"`` promotes a ring to the dense tier when its slot
-    #: occupancy fraction reaches this level ...
-    dense_enter_occupancy: float = 0.25
-    #: ... and demotes it back to ``skip`` below this level (hysteresis
-    #: band so occupancy noise does not thrash materialization).
-    dense_exit_occupancy: float = 0.10
     #: Enable the reliable die-to-die link layer (CRC/ack-nak/replay) on
     #: every RBRG-L2 (:class:`repro.faults.link.LinkReliabilityConfig`).
     #: None keeps the baseline perfect-pipe link; installing a
@@ -194,7 +185,12 @@ class MultiRingConfig:
 #: warning.  The three ``parallel_*`` knobs drove the retired parallel
 #: per-ring stepper; every fabric now steps serially.  ``fast_path`` was
 #: an alias for ``engine="skip"``/``"ref"``, which are cycle-identical.
+#: The ``"auto"`` selector's cadence and occupancy band are module
+#: constants of :mod:`repro.core.ring`.
 RETIRED_CONFIG_KEYS = frozenset({
+    "dense_enter_occupancy",
+    "dense_exit_occupancy",
+    "engine_check_every",
     "fast_path",
     "parallel_step",
     "parallel_workers",

@@ -95,9 +95,8 @@ class MultiRingFabric(Fabric):
             return False
         route = self.router.route(msg.src, msg.dst)
         # Port.enqueue_inject, inlined: this call sits inside every
-        # driver's per-cycle injection loop, alongside the timed fabric
-        # step (see repro/perf/bench.py), so the extra call frame is
-        # measurable on saturated workloads.
+        # per-cycle injection loop, alongside the fabric step, so the
+        # extra call frame is measurable on saturated workloads.
         queue.append(Flit(msg, route))
         station = port.station
         station.pending_registry[station] = None

@@ -33,6 +33,18 @@ from repro.core.station import CrossStation, Port
 from repro.fabric.stats import FabricStats
 from repro.obs.trace import port_key_str
 
+#: Cycles between occupancy samples of the ``"auto"`` engine selector
+#: (each ring samples itself inside :meth:`Ring.step`).  The tiers are
+#: cycle-identical, so the selector's cadence and thresholds change
+#: only speed, never simulated results.
+ENGINE_CHECK_EVERY = 64
+#: ``"auto"`` promotes a ring to the dense tier when its slot occupancy
+#: fraction reaches this level ...
+DENSE_ENTER_OCCUPANCY = 0.25
+#: ... and demotes it back to ``skip`` below this level (hysteresis
+#: band so occupancy noise does not thrash materialization).
+DENSE_EXIT_OCCUPANCY = 0.10
+
 
 class SlotList(list):
     """A fixed-size list of optional slot contents with O(1) occupancy.
@@ -315,7 +327,7 @@ class Ring:
         if mode not in ("auto", "dense"):
             self._next_engine_check = float("inf")
             return
-        self._next_engine_check = cycle + self.config.engine_check_every
+        self._next_engine_check = cycle + ENGINE_CHECK_EVERY
         if self._scalar_pin is not None or self.stats.trace.enabled:
             if self._dense is not None:
                 self._exit_dense()
@@ -324,13 +336,12 @@ class Ring:
             if self._dense is None:
                 self._enter_dense(cycle)
             return
-        config = self.config
         slots = self.spec.nstops * len(self.lanes)
         occupancy = self.occupancy() / slots if slots else 0.0
         if self._dense is None:
-            if occupancy >= config.dense_enter_occupancy:
+            if occupancy >= DENSE_ENTER_OCCUPANCY:
                 self._enter_dense(cycle)
-        elif occupancy <= config.dense_exit_occupancy:
+        elif occupancy <= DENSE_EXIT_OCCUPANCY:
             self._exit_dense()
 
     def _enter_dense(self, cycle: int) -> None:

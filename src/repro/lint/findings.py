@@ -5,9 +5,9 @@ The AST lint, the interprocedural dataflow analyzer, the topology/config
 validator, and the fabric analyzer all emit this one dataclass, so
 ``repro-noc check`` can aggregate and export them uniformly.
 
-Severity is a three-level scale (``error`` > ``warn`` > ``info``); the
-legacy spelling ``"warning"`` is normalized to ``"warn"`` on the way in
-so old JSON reports keep working.
+Severity is a two-level scale (``error`` > ``warn``); the legacy
+spelling ``"warning"`` is normalized to ``"warn"`` on the way in so old
+JSON reports keep working.
 
 Every finding carries a **fingerprint**: a short stable hash of the rule,
 the normalized path, and the *content* of the flagged line (not its
@@ -32,14 +32,13 @@ class Severity:
     WARN = "warn"
     #: Legacy alias — older code and serialized reports said "warning".
     WARNING = WARN
-    INFO = "info"
 
     #: Rank order for gating (``--fail-on``): higher is worse.
-    RANK = {INFO: 0, WARN: 1, ERROR: 2}
+    RANK = {WARN: 1, ERROR: 2}
 
     @staticmethod
     def normalize(value: str) -> str:
-        """Map legacy spellings onto the canonical three levels."""
+        """Map legacy spellings onto the canonical two levels."""
         if value == "warning":
             return Severity.WARN
         return value

@@ -54,8 +54,7 @@ class CheckReport(FindingsReport):
             f"({self.modules_analyzed} dataflow modules), "
             f"{self.topologies_validated} built-in topologies, "
             f"{self.scenarios_validated} scenario files: "
-            f"{len(self.errors)} errors, {len(self.warnings)} warnings, "
-            f"{len(self.infos)} notes")
+            f"{len(self.errors)} errors, {len(self.warnings)} warnings")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:

@@ -9,8 +9,8 @@ declares every rule that fired (id + short description) and one
 and the finding's stable fingerprint under ``partialFingerprints`` so
 code scanning tracks an annotation across pushes.
 
-Severity maps ``error -> error``, ``warn -> warning``, ``info -> note``
-(SARIF's level vocabulary).  Paths are emitted repo-relative via
+Severity maps ``error -> error`` and ``warn -> warning`` (SARIF's level
+vocabulary).  Paths are emitted repo-relative via
 :func:`repro.lint.findings.normalize_path` prefixed with ``src/`` when
 the finding lives in the installed package, so annotations land on the
 checked-out files.
@@ -31,7 +31,6 @@ SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
 _LEVELS = {
     Severity.ERROR: "error",
     Severity.WARN: "warning",
-    Severity.INFO: "note",
 }
 
 #: One-line rule descriptions for the tool.driver.rules table.  Rules

@@ -317,20 +317,6 @@ def validate_config(
             "bad-engine",
             f"engine is {config.engine!r}; must be one of "
             "auto/ref/skip/dense (see docs/PERFORMANCE.md)", path))
-    if config.engine_check_every < 1:
-        findings.append(_err(
-            "bad-threshold",
-            f"engine_check_every is {config.engine_check_every}; the "
-            "auto selector needs a cadence of >= 1 cycle", path))
-    if not (0.0 <= config.dense_exit_occupancy
-            <= config.dense_enter_occupancy <= 1.0):
-        findings.append(_err(
-            "bad-threshold",
-            "dense occupancy thresholds must satisfy 0 <= "
-            f"dense_exit_occupancy ({config.dense_exit_occupancy}) <= "
-            f"dense_enter_occupancy ({config.dense_enter_occupancy}) "
-            "<= 1; an inverted band makes the auto selector thrash "
-            "materialization every check", path))
 
     if has_l2_bridges:
         if config.enable_swap:

@@ -34,8 +34,8 @@ A fabric's recorder lives at ``FabricStats.trace`` and defaults to
 :data:`NULL_TRACE`, a shared :class:`NullTrace` whose ``enabled`` is
 False.  Every hook site reads the attribute once and tests ``enabled``,
 so the disabled path costs one attribute check per potential event and
-never allocates.  ``repro-noc bench`` (the committed trajectory) runs
-with tracing disabled and its regression gate bounds the hook cost.
+never allocates.  The repository benchmark (``bench/``) never attaches
+a recorder, so its regression bounds cover the hook cost.
 """
 
 from __future__ import annotations

@@ -19,8 +19,6 @@ parallel-seeding rules.
   ``--resume`` for interrupted campaigns.
 - :mod:`repro.perf.outcomes` — structured skip/failure records that
   stand in for stats dicts in partial sweep results.
-- :mod:`repro.perf.bench` — the ``repro-noc bench`` smoke suite and the
-  ``BENCH_fabric.json`` trajectory format.
 """
 
 from repro.perf.cache import MISS, ResultCache

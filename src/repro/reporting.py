@@ -75,10 +75,6 @@ class FindingsReport:
         return [f for f in self.findings if f.severity == Severity.WARN]
 
     @property
-    def infos(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == Severity.INFO]
-
-    @property
     def exit_code(self) -> int:
         return exit_code_for(self.findings, self.fail_on)
 
@@ -95,6 +91,5 @@ class FindingsReport:
             "findings": [f.to_dict() for f in sort_findings(self.findings)],
             "errors": len(self.errors),
             "warnings": len(self.warnings),
-            "infos": len(self.infos),
             "rule_counts": self.rule_counts(),
         }

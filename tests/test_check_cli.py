@@ -90,6 +90,10 @@ def test_check_fail_on_warn_tightens_gate(tmp_path, capsys):
     assert main(["check", "--src", str(tmp_path), "--no-builtin",
                  "--fail-on", "warn"]) == 1
     assert "unused-suppression" in capsys.readouterr().out
+    # ``warn`` is the lowest severity.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--fail-on", "info"])
+    assert exc.value.code == 2
 
 
 def test_shipped_tree_is_clean_at_fail_on_warn(capsys):

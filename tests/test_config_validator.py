@@ -121,12 +121,19 @@ def test_bad_engine_mode_detected():
             validate_config(MultiRingConfig(engine=mode)))
 
 
-def test_inverted_dense_hysteresis_band_detected():
-    config = MultiRingConfig(dense_enter_occupancy=0.1,
-                             dense_exit_occupancy=0.5)
-    assert "bad-threshold" in rules(validate_config(config))
-    config = MultiRingConfig(engine_check_every=0)
-    assert "bad-threshold" in rules(validate_config(config))
+def test_auto_selector_knobs_are_retired_config_keys():
+    """The auto selector's cadence and occupancy band are module
+    constants now; saved scenarios that still carry them (even an
+    inverted band) validate with one warning each."""
+    spec, _, _ = chiplet_pair()
+    raw = {"topology": topology_to_dict(spec),
+           "config": {"engine_check_every": 0,
+                      "dense_enter_occupancy": 0.1,
+                      "dense_exit_occupancy": 0.5}}
+    findings = validate_scenario(raw)
+    assert [f.rule for f in findings if f.rule.endswith("config-key")] == \
+        ["retired-config-key"] * 3
+    assert errors(findings) == []
 
 
 def test_parallel_serial_fallback_warns_not_errors():

@@ -9,10 +9,14 @@ round-trips when tiers switch mid-run.  These tests drive the same
 pre-generated plans through every tier and compare.
 """
 
+import gc
+import time
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import ring as ring_module
 from repro.core.config import MultiRingConfig
 from repro.core.network import MultiRingFabric
 from repro.core.topology import (
@@ -55,16 +59,24 @@ def crossover_plan(nodes, seed):
     return plan
 
 
-def run_plan(fabric, plan, cycles, kind=MessageKind.REQUEST):
-    i, n = 0, len(plan)
+def plan_messages(plan, kind=MessageKind.REQUEST):
+    return [Message(src=src, dst=dst, kind=kind, created_cycle=cycle,
+                    msg_id=i)
+            for i, (cycle, src, dst) in enumerate(plan)]
+
+
+def run_messages(fabric, msgs, cycles):
+    i, n = 0, len(msgs)
     for cycle in range(cycles):
-        while i < n and plan[i][0] == cycle:
-            _, src, dst = plan[i]
-            fabric.try_inject(Message(src=src, dst=dst, kind=kind,
-                                      created_cycle=cycle, msg_id=i))
+        while i < n and msgs[i].created_cycle == cycle:
+            fabric.try_inject(msgs[i])
             i += 1
         fabric.step(cycle)
     return fabric.stats
+
+
+def run_plan(fabric, plan, cycles, kind=MessageKind.REQUEST):
+    return run_messages(fabric, plan_messages(plan, kind), cycles)
 
 
 def make_ring(engine, nstops=16, bidirectional=True, **config_kwargs):
@@ -129,14 +141,14 @@ def test_feature_ablations_across_tiers(config_kwargs):
 
 
 @needs_numpy
-def test_selector_thrash_is_exact():
-    """A pathological check cadence (every cycle, zero hysteresis gap)
-    forces the auto selector to materialize/dematerialize constantly;
-    the round-trips must stay invisible."""
+def test_selector_thrash_is_exact(monkeypatch):
+    """A pathological check cadence (every cycle) forces the auto
+    selector to materialize/dematerialize constantly; the round-trips
+    must stay invisible."""
+    monkeypatch.setattr(ring_module, "ENGINE_CHECK_EVERY", 1)
     plan = crossover_plan(list(range(12)), seed=41)
     ref = run_plan(make_ring("ref", 12), plan, 1000)
-    thrash = run_plan(make_ring("auto", 12, engine_check_every=1),
-                      plan, 1000)
+    thrash = run_plan(make_ring("auto", 12), plan, 1000)
     assert thrash == ref
 
 
@@ -236,6 +248,87 @@ def test_multi_ring_tiers_identical(system):
              for engine in ENGINES}
     assert_tiers_identical(stats)
     assert stats["ref"].delivered > 0
+
+
+# -- the auto selector must not lose to the reference walk ----------------
+
+
+def streaming_plan(nstops, producers, cycles, per_producer, seed):
+    """Few fixed producers, uniform-random consumers."""
+    pset = set(producers)
+    consumers = [n for n in range(nstops) if n not in pset]
+    rng = make_rng(seed)
+    return [(cycle, src, rng.choice(consumers))
+            for cycle in range(cycles)
+            for src in producers
+            for _ in range(per_producer)]
+
+
+SATURATED_CYCLES = 1500
+
+#: Oversubscribed single rings: (stops, bidirectional, plan).  The
+#: 128-stop streaming ring holds capacity from 8 producers while most
+#: stations idle; the uniform rings give every station work every cycle,
+#: at 320 stops deep in the dense regime and at 32 near the skip/dense
+#: crossover.
+SATURATED_RINGS = {
+    "ring_full_saturated": (128, True, lambda: streaming_plan(
+        128, list(range(0, 128, 16)), SATURATED_CYCLES, 2, seed=42)),
+    "ring_uniform_saturated": (320, True, lambda: uniform_plan(
+        list(range(320)), SATURATED_CYCLES, 8, seed=43)),
+    "ring_half_saturated": (320, False, lambda: uniform_plan(
+        list(range(320)), SATURATED_CYCLES, 8, seed=44)),
+    "ring_dense32_full": (32, True, lambda: uniform_plan(
+        list(range(32)), SATURATED_CYCLES, 8, seed=47)),
+    "ring_dense32_half": (32, False, lambda: uniform_plan(
+        list(range(32)), SATURATED_CYCLES, 8, seed=48)),
+}
+
+
+def timed_run(engine, nstops, bidirectional, plan):
+    """(seconds, stats) of one run.  Only injection and stepping are
+    timed: messages are built and routes warmed before the timer
+    starts, and GC is parked while it runs."""
+    fabric = make_ring(engine, nstops, bidirectional)
+    msgs = plan_messages(plan)
+    for src, dst in {(src, dst) for _, src, dst in plan}:
+        fabric.router.route(src, dst)
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        stats = run_messages(fabric, msgs, SATURATED_CYCLES)
+        elapsed = time.perf_counter() - start
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return elapsed, stats
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", sorted(SATURATED_RINGS))
+def test_auto_beats_reference_on_saturated_rings(case):
+    """On every saturated ring the shipping ``auto`` selector runs at
+    least as fast as the reference walk, with identical stats.  Best of
+    three runs per tier, alternating, so a slow spell on the host hits
+    both tiers alike."""
+    nstops, bidirectional, make_plan = SATURATED_RINGS[case]
+    plan = make_plan()
+    best = {}
+    for _ in range(3):
+        for engine in ("ref", "auto"):
+            elapsed, stats = timed_run(engine, nstops, bidirectional, plan)
+            best[engine] = min(best.get(engine, elapsed), elapsed)
+            if engine == "ref":
+                ref_stats = stats
+            else:
+                assert stats == ref_stats, (
+                    f"{case}: auto stats diverge from reference")
+    speedup = best["ref"] / best["auto"]
+    assert speedup >= 1.0, (
+        f"{case}: auto ran at {speedup:.2f}x the reference walk "
+        f"({best['auto']:.3f} s vs {best['ref']:.3f} s)")
 
 
 # -- hypothesis property: auto == ref for arbitrary seeds -----------------

@@ -35,7 +35,6 @@ pytestmark = pytest.mark.lint
 
 def test_severity_rank_ordering():
     assert Severity.RANK[Severity.ERROR] > Severity.RANK[Severity.WARN]
-    assert Severity.RANK[Severity.WARN] > Severity.RANK[Severity.INFO]
 
 
 def test_legacy_warning_spelling_normalizes():
@@ -49,10 +48,6 @@ def test_fail_on_thresholds():
     findings = [Finding(rule="a", message="m", severity=Severity.WARN)]
     assert exit_code_for(findings, fail_on=Severity.ERROR) == 0
     assert exit_code_for(findings, fail_on=Severity.WARN) == 1
-    assert exit_code_for(findings, fail_on=Severity.INFO) == 1
-    infos = [Finding(rule="a", message="m", severity=Severity.INFO)]
-    assert exit_code_for(infos, fail_on=Severity.WARN) == 0
-    assert exit_code_for(infos, fail_on=Severity.INFO) == 1
 
 
 # ------------------------------------------------------------ fingerprints
@@ -163,7 +158,7 @@ def test_sarif_document_shape():
         Finding(rule="unused-suppression", message="stale",
                 severity=Severity.WARN, path="/x/src/repro/b.py", line=7),
         Finding(rule="missing-path", message="gone",
-                severity=Severity.INFO),
+                severity=Severity.WARN),
     ]
     doc = findings_to_sarif(findings)
     assert doc["version"] == "2.1.0"
@@ -175,7 +170,7 @@ def test_sarif_document_shape():
         "determinism", "unused-suppression", "missing-path"}
     assert all(r["shortDescription"]["text"] for r in driver["rules"])
     levels = [r["level"] for r in run["results"]]
-    assert levels == ["error", "warning", "note"]
+    assert levels == ["error", "warning", "warning"]
     first = run["results"][0]
     loc = first["locations"][0]["physicalLocation"]
     assert loc["artifactLocation"]["uri"] == "src/repro/sim/a.py"

@@ -89,7 +89,7 @@ def test_dense_engine_file_is_order_sensitive():
             textwrap.dedent(source), "pkg/repro/perf/dense.py")}
     # ...while the rest of the perf harness may iterate sets freely.
     assert {f.rule for f in lint_source(
-        textwrap.dedent(source), "pkg/repro/perf/bench.py")} == set()
+        textwrap.dedent(source), "pkg/repro/perf/sweep.py")} == set()
 
 
 def test_wall_clock_calls_flagged():

@@ -170,16 +170,3 @@ def test_chrome_trace_loads_with_ring_and_bridge_tracks():
     instants = [e for e in events if e["ph"] == "i"]
     assert len(instants) == written
     assert all(isinstance(e["ts"], int) for e in instants)
-
-
-def test_bench_refuses_traced_fabrics():
-    from repro.perf import bench
-
-    case = bench.smoke_cases(cycles=20)[0]
-    traced = bench.BenchCase(
-        name=case.name, description=case.description, cycles=case.cycles,
-        build=lambda engine: (lambda f: (f.attach_trace_recorder(), f)[1])(
-            case.build(engine)),
-        plan=case.plan)
-    with pytest.raises(RuntimeError, match="tracing must stay disabled"):
-        bench.run_case(traced, repeats=1)

@@ -2,16 +2,12 @@
 
 Parallelism is only acceptable if it is invisible: N workers, 1 worker,
 and a cache-warmed rerun must all return the same results in the same
-order.  These tests pin that, plus the cache's corruption handling and
-the bench report's regression comparison.
+order.  These tests pin that, plus the cache's corruption handling.
 """
 
 import json
 import os
 
-import pytest
-
-from repro.perf.bench import compare_to_baseline
 from repro.perf.cache import ResultCache, canonical_json, config_fingerprint
 from repro.perf.sweep import SweepPoint, point_seed, run_sweep
 from repro.sim.rng import make_rng
@@ -336,38 +332,6 @@ def test_config_fingerprint_flattens_dataclasses():
     canonical_json(fp)  # must be JSON-able
 
 
-# -- bench regression comparison ------------------------------------------
-
-
-def _report(normalized, stats=None):
-    return {"results": [{"name": "case", "normalized": normalized,
-                         "stats": stats or {"delivered": 10}}]}
-
-
-def test_regression_within_budget_passes():
-    assert compare_to_baseline(_report(0.80), _report(1.0),
-                               max_regression=0.25) == []
-
-
-def test_regression_beyond_budget_fails():
-    failures = compare_to_baseline(_report(0.70), _report(1.0),
-                                   max_regression=0.25)
-    assert len(failures) == 1 and "case" in failures[0]
-
-
-def test_fingerprint_drift_fails_even_if_faster():
-    failures = compare_to_baseline(
-        _report(2.0, stats={"delivered": 11}),
-        _report(1.0, stats={"delivered": 10}))
-    assert len(failures) == 1 and "fingerprint" in failures[0]
-
-
-def test_unknown_case_is_skipped():
-    report = {"results": [{"name": "new_case", "normalized": 0.1,
-                           "stats": {}}]}
-    assert compare_to_baseline(report, _report(1.0)) == []
-
-
 # -- benchmarks/common.py disk-backed memo --------------------------------
 
 
@@ -452,75 +416,3 @@ def test_prefilter_skip_counts_are_logged(caplog):
         run_sweep(echo_worker, POINTS, base_seed=5, workers=1,
                   prefilter=reject_odd)
     assert "statically skipped 3/6" in caplog.text
-
-
-def test_baseline_comparison_ignores_skipped_entries():
-    skipped = {"results": [{"name": "case", "skipped": True,
-                            "skip_reason": "statically infeasible"}]}
-    assert compare_to_baseline(skipped, _report(1.0)) == []
-    assert compare_to_baseline(_report(1.0), skipped) == []
-
-
-def test_aggregate_regression_is_gated():
-    current = dict(_report(1.0), aggregate_normalized=0.5)
-    baseline = dict(_report(1.0), aggregate_normalized=1.0)
-    failures = compare_to_baseline(current, baseline, max_regression=0.25)
-    assert len(failures) == 1 and "aggregate" in failures[0]
-    # Reports without the headline (older baselines) skip the check.
-    assert compare_to_baseline(_report(1.0), baseline) == []
-
-
-# -- dense-regime bench gates ---------------------------------------------
-
-
-def _saturated_entry(name, speedup, saturated=True, **extra):
-    entry = {"name": name, "saturated": saturated, "normalized": 1.0,
-             "plan_size": 100, "stats": {}, "engine": "dense"}
-    if speedup is not None:
-        entry["speedup_vs_reference"] = speedup
-    entry.update(extra)
-    return entry
-
-
-def test_saturated_gate_fails_losing_case():
-    from repro.perf.bench import saturated_speedup_failures
-    report = {"results": [_saturated_entry("ring_a", 0.83),
-                          _saturated_entry("ring_b", 5.2)]}
-    failures = saturated_speedup_failures(report)
-    assert len(failures) == 1
-    assert "ring_a" in failures[0] and "0.83" in failures[0]
-
-
-def test_saturated_gate_ignores_unsaturated_and_unreferenced():
-    from repro.perf.bench import saturated_speedup_failures
-    report = {"results": [
-        _saturated_entry("bridge_case", 0.5, saturated=False),
-        _saturated_entry("no_ref_timing", None),
-        _saturated_entry("skipped_case", 0.1, skipped=True),
-    ]}
-    assert saturated_speedup_failures(report) == []
-
-
-def test_smoke_suite_marks_dense_headlines_saturated():
-    from repro.perf.bench import smoke_cases
-    by_name = {c.name: c for c in smoke_cases(cycles=10)}
-    for name in ("ring_full_saturated", "ring_uniform_saturated",
-                 "ring_half_saturated", "ring_dense32_full",
-                 "ring_dense32_half"):
-        assert by_name[name].saturated, name
-    # Bridge ports pin the dense tier; the pair case is trajectory-gated.
-    assert not by_name["chiplet_pair_swap"].saturated
-    assert not by_name["ring_idle"].saturated
-
-
-def test_aggregate_normalized_excludes_zero_plan_cases():
-    from repro.perf.bench import aggregate_normalized
-    results = [
-        {"name": "work_a", "normalized": 0.004, "plan_size": 100},
-        {"name": "work_b", "normalized": 0.001, "plan_size": 100},
-        {"name": "idle", "normalized": 0.9, "plan_size": 0},
-        {"name": "skipped", "skipped": True},
-    ]
-    agg = aggregate_normalized(results)
-    assert agg == pytest.approx((0.004 * 0.001) ** 0.5)
-    assert aggregate_normalized([results[2]]) is None

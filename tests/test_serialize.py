@@ -91,13 +91,13 @@ def test_config_roundtrip_preserves_every_knob():
 
     config = MultiRingConfig(
         engine="dense",
-        engine_check_every=16,
+        bridge_route_penalty=3,
         escape_slot_period=7,
         queues=QueueParams(inject_queue_depth=5),
     )
     rebuilt = config_from_dict(config_to_dict(config))
     assert rebuilt == config
-    assert rebuilt.engine == "dense" and rebuilt.engine_check_every == 16
+    assert rebuilt.engine == "dense" and rebuilt.bridge_route_penalty == 3
     assert rebuilt.queues.inject_queue_depth == 5
 
 
@@ -128,19 +128,20 @@ def test_config_dict_defaults_missing_keys():
 
     raw = config_to_dict(MultiRingConfig())
     raw.pop("engine")
-    raw.pop("engine_check_every")
+    raw.pop("bridge_route_penalty")
     rebuilt = config_from_dict(raw)
     assert rebuilt == MultiRingConfig()
 
 
 def test_config_dict_drops_retired_keys():
-    """Saves written while the parallel stepper and the ``fast_path``
-    alias existed keep loading."""
+    """Saves written while the parallel stepper, the ``fast_path``
+    alias and the auto-selector knobs existed keep loading."""
     from repro.core.config import RETIRED_CONFIG_KEYS, MultiRingConfig
     from repro.core.serialize import config_from_dict, config_to_dict
 
     raw = config_to_dict(MultiRingConfig(engine="skip"))
     assert not RETIRED_CONFIG_KEYS & set(raw)
     raw.update(parallel_step=True, parallel_workers=3, parallel_window=4,
-               fast_path=False)
+               fast_path=False, engine_check_every=16,
+               dense_enter_occupancy=0.3, dense_exit_occupancy=0.05)
     assert config_from_dict(raw) == MultiRingConfig(engine="skip")
