@@ -160,7 +160,8 @@ class MultiRingConfig:
     #: Stepping-engine tier (see docs/PERFORMANCE.md):
     #:
     #: - ``"ref"``   — reference walk, the semantic spec;
-    #: - ``"skip"``  — exact-skip ``step_fast`` (wins on sparse traffic);
+    #: - ``"skip"``  — exact-skip ``step_fast`` (the paper's bridged,
+    #:   two-lane and two-interface rings, and sparse traffic anywhere);
     #: - ``"dense"`` — struct-of-arrays vectorized tier
     #:   (:mod:`repro.perf.dense`; wins on saturated traffic, falls back
     #:   to ``skip`` when a ring is ineligible — bridges, escape slots,

@@ -11,19 +11,20 @@ Stepping has two interchangeable implementations:
 
 - the **reference step** (:meth:`Ring.step_reference`) walks every lane ×
   station each cycle — the simple, obviously-correct semantic spec;
-- the **fast step** (:meth:`Ring.step_fast`, the default) uses the lanes'
-  maintained occupancy indexes (:class:`SlotList`) to visit only stations
-  that can do work this cycle: stations with queued injections, stations
-  whose slot carries a flit that exits there, and stations owed an I-tag
-  release.  Every skipped visit is a provable no-op, so the two paths are
-  cycle-for-cycle identical; ``tests/test_fastpath_equivalence.py`` drives
-  random traffic through both and asserts equal :class:`FabricStats` and
-  delivery logs.
+- the **fast step** (:meth:`Ring.step_fast`, the default) visits only
+  stations that can do work this cycle, found from indexes updated when
+  the work appears: the head index :attr:`Ring.want` and the lanes'
+  eject and I-tag-release residue buckets.  Every skipped visit is a
+  provable no-op, so the two paths are cycle-for-cycle identical;
+  ``tests/test_fastpath_equivalence.py`` drives random traffic through
+  both and asserts equal :class:`FabricStats` and delivery logs.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import defaultdict
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.core.config import MultiRingConfig, RingSpec
@@ -109,6 +110,9 @@ class ExitBucketedSlots(SlotList):
 
     __slots__ = ("direction", "buckets")
 
+    #: The stop at which an entry leaves its slot (a flit's exit stop).
+    target = staticmethod(attrgetter("exit_stop"))
+
     def __init__(self, nslots: int, direction: int):
         SlotList.__init__(self, nslots)
         self.direction = direction
@@ -124,19 +128,32 @@ class ExitBucketedSlots(SlotList):
         buckets = self.buckets
         old = list.__getitem__(self, idx)
         if old is not None:
-            buckets[(d * (old.exit_stop - idx)) % n].discard(idx)
+            buckets[(d * (self.target(old) - idx)) % n].discard(idx)
         if value is None:
             self.occupied.discard(idx)
         else:
             self.occupied.add(idx)
-            buckets[(d * (value.exit_stop - idx)) % n].add(idx)
+            buckets[(d * (self.target(value) - idx)) % n].add(idx)
         list.__setitem__(self, idx, value)
 
     def __deepcopy__(self, memo):
         clone = SlotList.__deepcopy__(self, memo)
         clone.direction = self.direction
-        clone.buckets = [set(b) for b in self.buckets]
+        clone.buckets = copy.deepcopy(self.buckets, memo)
         return clone
+
+
+class TagBucketedSlots(ExitBucketedSlots):
+    """I-tag slots, bucketed by the residue at which each passes its
+    owner's stop.  Tags are rare, so residue sets are made on demand."""
+
+    __slots__ = ()
+
+    target = staticmethod(attrgetter("station.stop"))
+
+    def __init__(self, nslots: int, direction: int):
+        super().__init__(nslots, direction)
+        self.buckets = defaultdict(set)
 
 
 class Lane:
@@ -155,7 +172,7 @@ class Lane:
         #: (the conventional deadlock-avoidance alternative to SWAP).
         self.escape_period = escape_period
         self.flits: ExitBucketedSlots = ExitBucketedSlots(nstops, direction)
-        self.itags: SlotList = SlotList(nstops)
+        self.itags: TagBucketedSlots = TagBucketedSlots(nstops, direction)
 
     def index_at(self, stop: int, cycle: int) -> int:
         """Slot index currently positioned at ``stop``."""
@@ -223,25 +240,15 @@ class Ring:
                               for _ in range(nlanes))
         self._stations: dict = {}
         self._station_list: List[CrossStation] = []
-        #: Stations that may have queued injections: every
+        #: Inbox of stations enqueued to since the last step: every
         #: :meth:`repro.core.station.Port.enqueue_inject` registers its
-        #: station here (insertion-ordered dict used as a set), and the
-        #: fast step lazily drops stations it observes with empty queues.
-        #: This makes per-cycle active-station discovery O(pending), not
-        #: O(stations).
+        #: station here (insertion-ordered dict used as a set).
         self.pending_stations: dict = {}
-        mode = config.engine
-        if mode not in ("auto", "ref", "skip", "dense"):
-            raise ValueError(
-                f"unknown engine {mode!r}; pick auto, ref, skip, or dense")
-        #: Stepping tier policy ("auto"|"ref"|"skip"|"dense"); see
-        #: ``MultiRingConfig.engine`` and docs/PERFORMANCE.md.
-        self.engine_mode = mode
-        #: Run the exact-skip step when not running dense (identical
-        #: semantics, skips no-op station visits).  Cleared only by
-        #: ``engine="ref"``, so equivalence tests can drive the
-        #: reference step.
-        self._skip = mode != "ref"
+        #: Head index: direction -> stations that may hold an inject-queue
+        #: head preferring it; may hold stale stations, never misses one.
+        self.want = {1: {}, -1: {}}
+        #: Stations whose head may exit at its own stop (same contract).
+        self.local: dict = {}
         #: Active :class:`repro.perf.dense.DenseRingEngine`, or None
         #: while a scalar step runs.
         self._dense = None
@@ -250,8 +257,7 @@ class Ring:
         #: keeps the dense tier off so scalar-path guarantees (byte-
         #: identical trace streams, probe visibility) stay intact.
         self._scalar_pin: Optional[str] = None
-        self._next_engine_check = (
-            0 if mode in ("auto", "dense") else float("inf"))
+        self.set_engine(config.engine)
 
     @property
     def stations(self) -> List[CrossStation]:
@@ -304,10 +310,16 @@ class Ring:
                 f"unknown engine {mode!r}; pick auto, ref, skip, or dense")
         if self._dense is not None:
             self._exit_dense()
+        #: Stepping tier policy; see ``MultiRingConfig.engine``.
         self.engine_mode = mode
+        #: Step ``step_fast`` when not dense; only ``engine="ref"`` clears it.
         self._skip = mode != "ref"
+        #: Why the dense tier refused this ring (None until it does).
+        #: Refusals are structural, so one stands until the next call.
+        self.dense_refusal: Optional[str] = None
         self._next_engine_check = (
             0 if mode in ("auto", "dense") else float("inf"))
+        self._rebuild_index()
 
     def pin_scalar(self, reason: str) -> None:
         """Keep this ring off the dense tier (instrumentation attached)."""
@@ -324,34 +336,28 @@ class Ring:
     def _engine_check(self, cycle: int) -> None:
         """Periodic tier decision (auto/dense modes only)."""
         mode = self.engine_mode
-        if mode not in ("auto", "dense"):
-            self._next_engine_check = float("inf")
-            return
         self._next_engine_check = cycle + ENGINE_CHECK_EVERY
         if self._scalar_pin is not None or self.stats.trace.enabled:
             if self._dense is not None:
                 self._exit_dense()
             return
-        if mode == "dense":
-            if self._dense is None:
-                self._enter_dense(cycle)
-            return
         slots = self.spec.nstops * len(self.lanes)
         occupancy = self.occupancy() / slots if slots else 0.0
         if self._dense is None:
-            if occupancy >= DENSE_ENTER_OCCUPANCY:
+            from repro.perf.dense import dense_ineligible_reason
+            # Structure first, without numpy: a refusal stands.
+            if (mode == "dense" or occupancy >= DENSE_ENTER_OCCUPANCY
+                    or dense_ineligible_reason(self, need_numpy=False)):
                 self._enter_dense(cycle)
-        elif occupancy <= DENSE_EXIT_OCCUPANCY:
+        elif mode == "auto" and occupancy <= DENSE_EXIT_OCCUPANCY:
             self._exit_dense()
 
     def _enter_dense(self, cycle: int) -> None:
         from repro.perf.dense import DenseRingEngine, dense_ineligible_reason
         reason = dense_ineligible_reason(self)
         if reason is not None:
-            if self.engine_mode == "dense":
-                # Forced onto an ineligible ring: fall back to the skip
-                # tier permanently instead of re-checking forever.
-                self._next_engine_check = float("inf")
+            self.dense_refusal = reason
+            self._next_engine_check = float("inf")
             return
         self._dense = DenseRingEngine(self, cycle)
 
@@ -359,6 +365,30 @@ class Ring:
         dense = self._dense
         self._dense = None
         dense.dematerialize()
+        self._rebuild_index()
+
+    def _index_heads(self, st: CrossStation) -> None:
+        """Index every inject-queue head at ``st`` (see :attr:`want`)."""
+        spec = self.spec
+        stop = st.stop
+        for port in st.ports:
+            q = port.inject_queue
+            if q:
+                head = q[0]
+                d = head.dir_pref
+                if d is None:
+                    d = head.dir_pref = ring_direction(
+                        spec.nstops, stop, head.exit_stop, spec.bidirectional)
+                self.want[d][st] = None
+                if head.exit_stop == stop and head.exit_ring == spec.ring_id:
+                    self.local[st] = None
+
+    def _rebuild_index(self) -> None:
+        """Re-index every head (``ref`` and dense pop heads unindexed)."""
+        for reg in (self.pending_stations, self.local, *self.want.values()):
+            reg.clear()
+        for st in self._station_list:
+            self._index_heads(st)
 
     def step_reference(self, cycle: int) -> None:
         """Reference semantics: walk every lane × station each cycle.
@@ -380,19 +410,22 @@ class Ring:
 
         - a port at the station has a queued injection whose head prefers
           this lane's direction (it may inject into an empty slot, or
-          must be charged an injection failure);
+          must be charged an injection failure) — found from the head
+          index :attr:`want`;
         - the slot passing the station holds a flit exiting there
           (ejection — and possibly a SWAP/DRM exchange — found from the
-          lane's occupied-slot index);
+          lane's exit-residue bucket);
         - the slot passing the station carries an I-tag owned by this
-          station (tag release, found from the I-tag slot index).
+          station (tag release, found from the I-tag residue bucket).
 
         Everything else is a no-op in the reference walk, so skipping it
         cannot change state.  Within one lane pass, stations touch only
-        their own slot/ports, so visiting a subset preserves per-cycle
-        outcomes exactly.  Head directions are re-read per lane (not
-        cached across lanes) because a SWAP exchange on an earlier lane
-        can expose a new queue head with a different preference.
+        their own slot/ports, so visiting a subset in any order preserves
+        per-cycle outcomes exactly.  Nothing is rescanned: a head is
+        indexed when it becomes the head (the inbox is drained first,
+        then ``process_local`` runs for the local-transfer registry, and
+        every pop re-indexes its station), and a visit that finds no head
+        wanting its lane drops the stale entry.
 
         The station visit itself is :meth:`CrossStation.process_lane`
         inlined — same statements, same order — with the per-lane
@@ -411,92 +444,52 @@ class Ring:
         trace = stats.trace
         tracing = trace.enabled
         lset = list.__setitem__
+        index = self._index_heads
 
-        # Stations with any queued injection, discovered from the
-        # enqueue-time registry in O(pending); stations observed with
-        # empty queues are dropped until their next enqueue.  Local
-        # (same-stop) transfers only need process_local when a queue
-        # head exits right here.
-        any_active: List[CrossStation] = []
-        pending = self.pending_stations
-        if pending:
-            for st in list(pending):
-                stop = st.stop
-                queued = False
-                local = False
-                for port in st.ports:
-                    q = port.inject_queue
-                    if q:
-                        queued = True
-                        head = q[0]
-                        if head.exit_stop == stop and head.exit_ring == ring_id:
-                            local = True
-                if queued:
-                    any_active.append(st)
-                    if local:
-                        st.process_local(cycle)
-                else:
-                    del pending[st]
+        inbox = self.pending_stations
+        if inbox:
+            for st in inbox:
+                index(st)
+            inbox.clear()
+        local = self.local
+        if local:
+            for st in list(local):
+                del local[st]
+                st.process_local(cycle)
+                index(st)
 
         get_station = self._stations.get
         for lane in self.lanes:
             d = lane.direction
+            want_d = self.want[d]
             flits = lane.flits
-            occupied = flits.occupied
             itags = lane.itags
-            tagged = itags.occupied
-            if not occupied and not tagged and not any_active:
-                continue
             n = lane.nstops
+            cur_bucket = flits.buckets[cycle % n]
+            released = itags.buckets.get(cycle % n)
+            if not want_d and not cur_bucket and not released:
+                continue
             dc = (d * cycle) % n
             esc = lane.escape_period
-            occ_add = occupied.add
-            occ_discard = occupied.discard
+            occ_add = flits.occupied.add
+            occ_discard = flits.occupied.discard
             fbuckets = flits.buckets
 
-            # Visit list: direction-matched active stations (in station
-            # creation order, like the reference walk) ...
-            visit: List[CrossStation] = []
-            for st in any_active:
-                for port in st.ports:
-                    q = port.inject_queue
-                    if q:
-                        head = q[0]
-                        want = head.dir_pref
-                        if want is None:
-                            want = ring_direction(
-                                nstops, st.stop, head.exit_stop, bidi)
-                            head.dir_pref = want
-                        if want == d:
-                            visit.append(st)
-                            break
-            # ... plus stations owed an ejection (from the exit-residue
-            # bucket: O(ejections), no occupied-slot scan) or an I-tag
-            # release (tags are rare; scanning the tag index is enough).
-            # sorted() pins their order so fast-path runs are
-            # bit-identical everywhere (within a lane pass the order is
-            # provably irrelevant).
-            cur_bucket = flits.buckets[cycle % n]
-            if cur_bucket or tagged:
-                extra: List[int] = []
-                for idx in cur_bucket:
-                    stop = idx + dc
-                    if stop >= n:
-                        stop -= n
-                    extra.append(stop)
-                for idx in tagged:
-                    stop = idx + dc
-                    if stop >= n:
-                        stop -= n
-                    if itags[idx].station.stop == stop:
-                        extra.append(stop)
-                if extra:
-                    seen = {st.stop for st in visit}
-                    for stop in sorted(set(extra)):
-                        if stop not in seen:
-                            st = get_station(stop)
-                            if st is not None:
-                                visit.append(st)
+            # Visit list: stations whose head may want this lane, plus
+            # stations owed an ejection or an I-tag release (the slot now
+            # passing them is in this cycle's residue bucket).
+            visit = list(want_d)
+            for idx in cur_bucket:
+                stop = idx + dc
+                if stop >= n:
+                    stop -= n
+                st = get_station(stop)
+                if st is not None and st not in want_d:
+                    visit.append(st)
+            for idx in released or ():
+                st = itags[idx].station
+                if idx not in cur_bucket and st not in want_d:
+                    visit.append(st)
 
             for st in visit:
                 stop = st.stop
@@ -540,6 +533,7 @@ class Ring:
                                            f"d={d:+d} port={pk}")
                                 trace.emit(cycle, "swap", swap_in.msg.msg_id,
                                            ring_id, stop, f"port={pk}")
+                            index(st)
                             continue
 
                 # -- injection into an empty slot, honouring I-tags -----
@@ -621,6 +615,9 @@ class Ring:
                                 break
 
                 # -- failure accounting / I-tag placement ---------------
+                keep = injected_port is not None
+                if keep:
+                    index(st)
                 for port in ports:
                     if port is injected_port:
                         continue
@@ -635,6 +632,7 @@ class Ring:
                         head.dir_pref = want
                     if want != d:
                         continue
+                    keep = True
                     failures = port.consecutive_failures + 1
                     port.consecutive_failures = failures
                     if (
@@ -652,6 +650,8 @@ class Ring:
                                        ring_id, stop,
                                        f"d={d:+d} port="
                                        f"{port_key_str(port.key)}")
+                if not keep:
+                    want_d.pop(st, None)
 
     def snapshot(self, cycle: int) -> Tuple:
         """Structural ring state for the verify subsystem's state encoding.

@@ -96,11 +96,11 @@ class Port:
         return len(self.inject_queue) >= self.inject_depth
 
     def enqueue_inject(self, flit: Flit) -> None:
-        """Queue ``flit`` for injection and mark the station pending.
+        """Queue ``flit`` for injection and put the station in the inbox.
 
         All fabric-internal producers (node injection, bridge transfers)
-        must enqueue through here: the registration is what lets the fast
-        step skip stations with empty queues without rescanning them.
+        must enqueue through here: the inbox is how the skip and dense
+        steps learn of a new queue head without rescanning stations.
         """
         self.inject_queue.append(flit)
         station = self.station
@@ -257,9 +257,9 @@ class CrossStation:
         self.stats = stats
         self.ports: List[Port] = []
         self.port_by_key: Dict[Tuple, Port] = {}
-        #: Shared per-ring registry of stations that may have queued
-        #: injections (set by :meth:`repro.core.ring.Ring.station_at`);
-        #: a private dict for stations built outside a ring (unit tests).
+        #: The ring's inbox of stations enqueued to since its last step
+        #: (set by :meth:`repro.core.ring.Ring.station_at`); a private
+        #: dict for stations built outside a ring (unit tests).
         self.pending_registry: Dict["CrossStation", None] = {}
         # Hoisted config reads for the per-cycle hot path.
         self._ring_id = ring_spec.ring_id

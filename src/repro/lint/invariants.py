@@ -22,7 +22,12 @@ otherwise exercises only implicitly:
   port and direction), and every E-tag reservation names a message that
   is still in the network.
 
-:class:`FabricInvariantChecker` verifies all three against a
+It also checks one simulator invariant the paper does not state: the
+skip step's **head index** (``Ring.want`` and ``Ring.local``) never
+misses an inject-queue head, because a missed head is a station the
+step silently stops visiting.
+
+:class:`FabricInvariantChecker` verifies them all against a
 :class:`repro.core.network.MultiRingFabric` and raises a structured
 :class:`InvariantViolation` carrying the cycle and station context.  It
 only reads fabric state, so a checked run and an unchecked run of the
@@ -33,6 +38,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.routing import ring_direction
+
 
 class InvariantViolation(RuntimeError):
     """A runtime invariant failed; carries structured context.
@@ -40,7 +47,7 @@ class InvariantViolation(RuntimeError):
     Attributes:
         rule: short rule name (``flit-conservation``,
             ``deflection-bound``, ``etag-consistency``,
-            ``itag-consistency``).
+            ``itag-consistency``, ``head-index``).
         cycle: simulation cycle at which the check ran.
         context: rule-specific details (ring/stop/msg ids, counts).
     """
@@ -98,6 +105,7 @@ class FabricInvariantChecker:
         self.check_deflection_bound(cycle)
         self.check_etag_consistency(cycle)
         self.check_itag_consistency(cycle)
+        self.check_head_index(cycle)
         self.checks_run += 1
 
     # -- individual probes ------------------------------------------------
@@ -219,6 +227,50 @@ class FabricInvariantChecker:
                         {"ring": ring_id, "stop": station.stop,
                          "direction": direction},
                     )
+
+    def check_head_index(self, cycle: int) -> None:
+        """The skip step's head index covers every inject-queue head.
+
+        On a ring stepping ``skip``, a head preferring direction ``d``
+        must have its station in ``ring.want[d]``, and a head exiting at
+        its own stop must have it in ``ring.local``; stations still in
+        the inbox (enqueued to since the last step) are indexed by the
+        next step first.  Stale extra entries are allowed.
+        """
+        for ring_id, ring in self.fabric.rings.items():
+            if ring.active_tier() != "skip":
+                continue
+            spec = ring.spec
+            for station in ring.stations:
+                if station in ring.pending_stations:
+                    continue
+                for port in station.ports:
+                    if not port.inject_queue:
+                        continue
+                    head = port.inject_queue[0]
+                    direction = head.dir_pref
+                    if direction is None:
+                        direction = ring_direction(
+                            spec.nstops, station.stop, head.exit_stop,
+                            spec.bidirectional)
+                    missing = None
+                    if station not in ring.want[direction]:
+                        missing = f"want[{direction:+d}]"
+                    elif (head.exit_stop == station.stop
+                          and head.exit_ring == ring_id
+                          and station not in ring.local):
+                        missing = "the local-transfer registry"
+                    if missing is not None:
+                        raise InvariantViolation(
+                            "head-index", cycle,
+                            f"port {port.key} has queue head "
+                            f"{head.msg.msg_id} but its station is missing "
+                            f"from {missing}; the skip step would not "
+                            "visit it",
+                            {"ring": ring_id, "stop": station.stop,
+                             "msg": head.msg.msg_id,
+                             "direction": direction},
+                        )
 
     # -- helpers ----------------------------------------------------------
 

@@ -21,20 +21,39 @@ parallel-seeding rules.
   stand in for stats dicts in partial sweep results.
 """
 
-from repro.perf.cache import MISS, ResultCache
-from repro.perf.resilient import RetryPolicy, SweepHealth, format_health
-from repro.perf.sweep import (
-    SweepPoint,
-    failed_points,
-    is_failed,
-    is_skipped,
-    point_seed,
-    run_sweep,
-    skipped_points,
-)
+# The names below resolve lazily (PEP 562): the ring's tier selector
+# imports repro.perf.dense inside the simulation loop and must not pay
+# for the sweep stack (multiprocessing, concurrent.futures) it never uses.
+_LAZY = {
+    "MISS": "repro.perf.cache",
+    "ResultCache": "repro.perf.cache",
+    "RetryPolicy": "repro.perf.resilient",
+    "SweepHealth": "repro.perf.resilient",
+    "format_health": "repro.perf.resilient",
+    "SweepPoint": "repro.perf.sweep",
+    "failed_points": "repro.perf.sweep",
+    "is_failed": "repro.perf.sweep",
+    "is_skipped": "repro.perf.sweep",
+    "point_seed": "repro.perf.sweep",
+    "run_sweep": "repro.perf.sweep",
+    "skipped_points": "repro.perf.sweep",
+}
 
-__all__ = [
-    "MISS", "ResultCache", "SweepPoint", "point_seed", "run_sweep",
-    "RetryPolicy", "SweepHealth", "format_health",
-    "is_skipped", "is_failed", "skipped_points", "failed_points",
-]
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: resolve each name once
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -54,31 +54,37 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-try:  # numpy ships with the toolchain, but stay importable without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on bare installs
-    _np = None
-
 from repro.core.routing import ring_direction
+
+#: numpy, imported by the first :func:`numpy_available` call.  Importing
+#: this module stays numpy-free, so a ring the structural checks refuse
+#: never pays numpy's import time and memory.
+_np = None
 
 __all__ = ["DenseRingEngine", "dense_ineligible_reason",
            "numpy_available"]
 
 
 def numpy_available() -> bool:
-    return _np is not None
+    global _np
+    if _np is None:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - bare installs only
+            return False
+        _np = numpy
+    return True
 
 
-def dense_ineligible_reason(ring) -> Optional[str]:
+def dense_ineligible_reason(ring, need_numpy: bool = True) -> Optional[str]:
     """Why ``ring`` cannot run the dense tier (None = eligible).
 
     Checked by the selector before every promotion; the conditions are
-    structural (they can only change while the fabric is being built or
-    when instrumentation is attached), so a reason is also stable enough
-    to surface in bench reports and docs.
+    structural (they can only change while the fabric is being built),
+    so a refusal stands until the ring's next ``set_engine``.  The
+    structure is checked first and numpy is imported last, and only when
+    ``need_numpy``.
     """
-    if _np is None:
-        return "numpy is not installed"
     if ring.config.escape_slot_period > 0:
         return "escape slots reserve indices for bridge ports"
     expected_lanes = 2 if ring.spec.bidirectional else 1
@@ -89,6 +95,8 @@ def dense_ineligible_reason(ring) -> Optional[str]:
             return f"station {station.stop} hosts two node interfaces"
         if station.ports[0].is_bridge_port:
             return f"ring bridge attached at stop {station.stop}"
+    if need_numpy and not numpy_available():
+        return "numpy is not installed"
     return None
 
 
@@ -224,19 +232,17 @@ class DenseRingEngine:
             self.qlen[p] = len(q)
             if q:
                 self._new_head(p, q[0], cycle)
-        # From here the arrays are authoritative; the pending registry's
-        # job (lazy head discovery) is taken over by the per-step sync.
+        # From here the arrays are authoritative; each step drains the
+        # ring's inbox of new enqueues itself.
         self.ring.pending_stations.clear()
 
     def dematerialize(self) -> None:
         """Write the array state back into the object world, exactly.
 
         Every slot is written through ``SlotList.__setitem__`` so the
-        ``occupied`` sets and exit-residue buckets are rebuilt; stations
-        with queued flits re-enrol in the pending registry (in creation
-        order — within-cycle visit order is provably irrelevant, see
-        ``Ring.step_fast``), so the scalar steps resume mid-run as if
-        they had run all along.
+        ``occupied`` sets and residue buckets are rebuilt, and the ring
+        then rebuilds its head index, so the scalar steps resume mid-run
+        as if they had run all along.
         """
         n = self.n
         for l, lane in enumerate(self.lanes):
@@ -250,12 +256,8 @@ class DenseRingEngine:
             tags = self.tags[l]
             for idx in sorted(tags):
                 itags[idx] = self.ports[tags[idx]]
-        pending = self.ring.pending_stations
         for p, port in enumerate(self.ports):
             port.consecutive_failures = int(self.failures[p])
-            if port.inject_queue:
-                station = self.port_station[p]
-                pending[station] = None
 
     # -- head bookkeeping --------------------------------------------------
 
@@ -315,8 +317,8 @@ class DenseRingEngine:
     # -- stepping ----------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        # New enqueues since last cycle (node injections land through
-        # Port.enqueue_inject, which registers the station).
+        # Drain the ring's inbox of enqueues since the last step (node
+        # injections land through Port.enqueue_inject).
         pending = self.ring.pending_stations
         if pending:
             station_pindex = self.station_pindex

@@ -10,6 +10,9 @@ pre-generated plans through every tier and compare.
 """
 
 import gc
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -20,12 +23,14 @@ from repro.core import ring as ring_module
 from repro.core.config import MultiRingConfig
 from repro.core.network import MultiRingFabric
 from repro.core.topology import (
+    TopologyBuilder,
     chiplet_chain,
     grid_of_rings,
     single_ring_topology,
 )
 from repro.fabric.message import Message, MessageKind
 from repro.obs.export import events_to_jsonl
+from repro.params import QueueParams
 from repro.perf.dense import dense_ineligible_reason, numpy_available
 from repro.sim.rng import make_rng
 
@@ -172,6 +177,166 @@ def test_mid_run_engine_switch_round_trips():
             i += 1
         fabric.step(cycle)
     assert fabric.stats == ref
+
+
+def chiplet_swap_shape(engine):
+    """The bench's ``chiplet_swap`` fabric: an RBRG-L2 chain of four
+    8-node chiplets with 2-deep queues and SWAP detection at 32."""
+    topo, _ = chiplet_chain(4, 8, stop_spacing=1)
+    queues = QueueParams(inject_queue_depth=2, eject_queue_depth=2,
+                         bridge_rx_depth=2, bridge_tx_depth=2,
+                         bridge_reserved_tx=2, swap_detect_threshold=32)
+    return MultiRingFabric(topo, MultiRingConfig(
+        engine=engine, queues=queues, eject_drain_per_cycle=1))
+
+
+def two_interface_ring(engine, nstops=12):
+    """A full ring whose every station hosts two node interfaces."""
+    builder = TopologyBuilder()
+    builder.add_ring(0, nstops, True)
+    for stop in range(nstops):
+        builder.add_node(0, stop)
+        builder.add_node(0, stop)
+    return MultiRingFabric(builder.build(), MultiRingConfig(engine=engine))
+
+
+def cross_chiplet_plan(cycles, per_cycle, seed, rings=4, per_ring=8):
+    rng = make_rng(seed)
+    plan = []
+    for cycle in range(cycles):
+        for _ in range(per_cycle):
+            src_ring = rng.randrange(rings)
+            dst_ring = rng.randrange(rings - 1)
+            dst_ring += dst_ring >= src_ring
+            plan.append((cycle, src_ring * per_ring + rng.randrange(per_ring),
+                         dst_ring * per_ring + rng.randrange(per_ring)))
+    return plan
+
+
+#: (fabric factory, plan, message kind) per shape the skip step's head
+#: index must survive tier switches on.  Bursts alternate with quiet
+#: spells, and one ``ref`` stint of every period spans a burst's end, so
+#: it pops queue heads that no enqueue re-indexes before ``skip`` returns.
+INDEX_SWITCH_SHAPES = {
+    "chiplet_swap": lambda: (
+        chiplet_swap_shape,
+        [e for e in cross_chiplet_plan(700, 4, seed=91)
+         if e[0] % 140 < 90],
+        MessageKind.DATA),
+    "two_lane_ring": lambda: (
+        lambda engine: make_ring(engine, 16, lanes_per_direction=2),
+        [e for e in uniform_plan(list(range(16)), 700, 16, seed=92)
+         if e[0] % 140 < 90],
+        MessageKind.REQUEST),
+    "two_interface_ring": lambda: (
+        two_interface_ring,
+        [e for e in uniform_plan(list(range(24)), 700, 12, seed=93)
+         if e[0] % 140 < 90],
+        MessageKind.REQUEST),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(INDEX_SWITCH_SHAPES))
+def test_ref_skip_switches_keep_head_index_exact(shape):
+    """``ref`` pops queue heads without indexing them, so every switch
+    back to ``skip`` must rebuild the head index.  Flip tiers several
+    times mid-run with the invariant checker watching the index; the
+    stats must equal a pure reference run."""
+    make, plan, kind = INDEX_SWITCH_SHAPES[shape]()
+    cycles = 900
+    ref = run_plan(make("ref"), plan, cycles, kind)
+
+    fabric = make("skip")
+    fabric.attach_invariant_checker()
+    msgs = plan_messages(plan, kind)
+    i, n = 0, len(msgs)
+    switches = 0
+    for cycle in range(cycles):
+        if cycle % 140 in (30, 90):
+            fabric.set_engine("ref")
+            switches += 1
+        elif cycle % 140 in (60, 96):
+            fabric.set_engine("skip")
+            switches += 1
+        while i < n and msgs[i].created_cycle == cycle:
+            fabric.try_inject(msgs[i])
+            i += 1
+        fabric.step(cycle)
+    assert switches >= 20
+    assert fabric.stats == ref
+    assert ref.delivered > 0
+
+
+#: Runs in a fresh interpreter: this module and tier-1 import numpy.
+NUMPY_FREE_SCRIPT = """
+import sys
+from repro.ai import AiProcessor, AiProcessorConfig
+from repro.core.config import MultiRingConfig
+from repro.core.network import MultiRingFabric
+from repro.core.topology import chiplet_chain, single_ring_topology
+from repro.fabric.message import Message, MessageKind
+from repro.params import QueueParams
+from repro.perf.dense import numpy_available
+from repro.sim.rng import make_rng
+
+def run(fabric, cycles, pick, per_cycle, kind=MessageKind.REQUEST):
+    for cycle in range(cycles):
+        for _ in range(per_cycle):
+            src, dst = pick()
+            fabric.try_inject(Message(src=src, dst=dst, kind=kind,
+                                      created_cycle=cycle))
+        fabric.step(cycle)
+
+rng = make_rng(5)
+topo, _ = chiplet_chain(4, 8, stop_spacing=1)
+chain = MultiRingFabric(topo, MultiRingConfig(queues=QueueParams(
+    inject_queue_depth=2, eject_queue_depth=2, bridge_rx_depth=2,
+    bridge_tx_depth=2, bridge_reserved_tx=2, swap_detect_threshold=32),
+    eject_drain_per_cycle=1))
+run(chain, 300, lambda: (rng.randrange(8), 24 + rng.randrange(8)), 2,
+    MessageKind.DATA)
+proc = AiProcessor(AiProcessorConfig(
+    read_fraction=0.5, n_hrings=6, n_llc=12, n_l2=36, n_hbm=6, n_dma=6,
+    core_mlp=48, dma_issues_per_cycle=0.4), seed=1)
+for cycle in range(200):
+    proc.step(cycle)
+assert chain.stats.delivered > 0 and proc.fabric.stats.delivered > 0
+assert "numpy" not in sys.modules, "a refused ring imported numpy"
+for fabric in (chain, proc.fabric):
+    for ring in fabric.rings.values():
+        assert ring.active_tier() == "skip", ring.spec.ring_id
+        assert ring.dense_refusal, ring.spec.ring_id
+        print(ring.spec.ring_id, ring.dense_refusal)
+
+# A saturated single ring is still promoted (numpy permitting).
+topo, _ = single_ring_topology(32)
+ring_fabric = MultiRingFabric(topo, MultiRingConfig())
+run(ring_fabric, 200, lambda: rng.sample(range(32), 2), 8)
+ring = ring_fabric.rings[0]
+if numpy_available():
+    assert ring.dense_refusal is None and ring.active_tier() == "dense"
+else:
+    assert ring.dense_refusal == "numpy is not installed"
+print("ok")
+"""
+
+
+def test_paper_rings_refuse_dense_without_importing_numpy():
+    """Bridged, two-lane and two-interface rings refuse the dense tier on
+    structure alone: running them under ``auto`` never imports numpy,
+    every ring records why, and the refusal stands."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT], cwd=root, env=env,
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.rstrip().endswith("ok")
+    reasons = result.stdout.splitlines()[:-1]
+    assert any("ring bridge" in line for line in reasons)
+    assert any("multiple lanes per direction" in line for line in reasons)
 
 
 @needs_numpy

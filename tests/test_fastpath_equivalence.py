@@ -153,6 +153,32 @@ def test_chiplet_pair_swap_equivalence():
     assert stats.swap_events > 0, "scenario failed to exercise SWAP/DRM"
 
 
+def test_swap_exposes_heads_of_either_direction():
+    """A SWAP pop can expose a head wanting the other direction, which
+    the skip step must index at once.  Node 0 runs in DRM (every eject
+    there swaps its head in) and queues bursts whose heads alternate
+    direction, while the other nodes keep sending to it."""
+    rng = make_rng(31)
+    plan = []
+    for cycle in range(600):
+        if cycle % 20 == 0:
+            plan.extend((cycle, 0, dst) for dst in (1, 7, 2, 6))
+        for _ in range(2):
+            plan.append((cycle, rng.randrange(1, 8), 0))
+    factory = ring_factory(8, True)
+
+    def make(engine):
+        fabric = factory(engine)
+        fabric.node_port(0).drm_active = True
+        return fabric
+
+    ref = run_plan(make("ref"), plan, 700)
+    checked = make("skip")
+    checked.attach_invariant_checker()
+    assert run_plan(checked, plan, 700) == ref
+    assert ref.delivered > 0
+
+
 def test_fault_injection_equivalence():
     """Fault schedules and link-layer recovery are stepping-mode blind.
 
@@ -248,15 +274,31 @@ def test_exit_buckets_reverse_direction():
 
 
 def test_enqueue_inject_registers_station():
+    """An enqueue lands its station in the ring's inbox; the next skip
+    step drains the inbox into the head index ``want[d]``, where the
+    station sits until its queue drains (one visit later it is dropped
+    as stale)."""
     topo, nodes = single_ring_topology(6, bidirectional=True)
     fabric = MultiRingFabric(topo, MultiRingConfig(engine="skip"))
     ring = fabric.rings[0]
     assert not ring.pending_stations
-    fabric.try_inject(Message(src=nodes[0], dst=nodes[3], msg_id=0))
-    station = fabric.node_port(nodes[0]).station
+    for msg_id in range(3):
+        fabric.try_inject(Message(src=nodes[0], dst=nodes[3],
+                                  msg_id=msg_id))
+    port = fabric.node_port(nodes[0])
+    station = port.station
     assert station in ring.pending_stations
-    # Once the queue drains, the fast step forgets the station.
-    for cycle in range(20):
+    direction = 1  # three stops either way: ties break clockwise
+    cycle = 0
+    while port.inject_queue:
         fabric.step(cycle)
-    assert station not in ring.pending_stations
-    assert fabric.stats.delivered == 1
+        cycle += 1
+        assert not ring.pending_stations
+        if port.inject_queue:
+            assert station in ring.want[direction]
+        assert station not in ring.want[-direction]
+    fabric.step(cycle)
+    assert station not in ring.want[direction]
+    for cycle in range(cycle + 1, cycle + 20):
+        fabric.step(cycle)
+    assert fabric.stats.delivered == 3

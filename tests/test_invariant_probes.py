@@ -201,6 +201,27 @@ def test_phantom_itag_pending_detected():
     assert "no lane carries" in str(exc.value)
 
 
+def test_head_index_miss_detected():
+    """A queued head whose station left the skip step's head index is a
+    station the step would stop visiting."""
+    topo, nodes = single_ring_topology(6)
+    fabric = MultiRingFabric(topo, MultiRingConfig(engine="skip"))
+    checker = fabric.attach_invariant_checker()
+    for msg_id in range(3):
+        fabric.try_inject(Message(src=nodes[0], dst=nodes[2],
+                                  msg_id=msg_id, created_cycle=0))
+    fabric.step(0)
+    port = fabric.node_port(nodes[0])
+    assert port.inject_queue, "expected a head still waiting"
+    ring = fabric.rings[0]
+    direction = port.inject_queue[0].dir_pref
+    del ring.want[direction][port.station]
+    with pytest.raises(InvariantViolation) as exc:
+        checker.check(1)
+    assert exc.value.rule == "head-index"
+    assert exc.value.context["stop"] == port.station.stop
+
+
 # -- engine/probe wiring --------------------------------------------------
 
 
