@@ -221,7 +221,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     from repro.faults.campaign import format_campaign, run_campaign
     from repro.perf.cache import ResultCache
-    from repro.perf.resilient import RetryPolicy, SweepHealth, format_health
+    from repro.perf.outcomes import outcome_counts
     from repro.perf.sweep import failed_points
 
     rates = [float(x) for x in args.rates.split(",") if x.strip()]
@@ -233,18 +233,18 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         from repro.analyze.prefilter import campaign_prefilter
         prefilter = campaign_prefilter
     cache = ResultCache(args.cache) if args.cache else None
-    retry = RetryPolicy(max_attempts=max(args.retries, 1))
-    health = SweepHealth()
     results = run_campaign(rates=rates, retry_limits=retry_limits,
                            messages=args.messages, base_seed=args.seed,
                            workers=args.workers, cache=cache,
                            replay_depths=replay_depths,
-                           prefilter=prefilter,
-                           timeout=args.timeout, retry=retry,
-                           health=health, journal=args.journal,
-                           resume=args.resume)
+                           prefilter=prefilter)
     print(format_campaign(results))
-    print(format_health(health))
+    counts = outcome_counts(results)
+    cached = cache.hits if cache is not None else 0
+    failed = f"{counts['failed']} FAILED" if counts["failed"] else "0 failed"
+    print(f"sweep health: {counts['total']} point(s) — "
+          f"{counts['ok'] - cached} computed, {cached} cached, "
+          f"{counts['skipped']} skipped, {failed}")
     if prefilter is not None:
         from repro.perf.sweep import skipped_points
         skipped = skipped_points(results)
@@ -254,10 +254,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         with open(args.json, "w") as fh:
             _json.dump(results, fh, indent=2)
         print(f"wrote {args.json}")
-    if args.health_json:
-        with open(args.health_json, "w") as fh:
-            _json.dump(health.as_dict(), fh, indent=2)
-        print(f"wrote {args.health_json}")
     if cache is not None:
         print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es) "
               f"under {cache.root}")
@@ -560,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 success, 1 findings (check/verify/analyze) "
                "or a failed gate, 2 usage errors or an escaped invariant "
                "violation, 3 a sweep exceeded --max-failures, 130 "
-               "interrupted (SIGINT/SIGTERM; journaled runs resume with "
-               "--resume)",
+               "interrupted (SIGINT)",
     )
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
@@ -765,27 +760,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-zero-drops", action="store_true",
                    help="exit 1 if any point dropped a message or wedged "
                         "(CI gate)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                   help="per-point wall-clock budget in seconds "
-                        "(enforced with --workers > 1; a hung worker "
-                        "is terminated and its pool recycled)")
-    p.add_argument("--retries", type=int, default=3, metavar="N",
-                   help="dispatch attempts per point before it becomes "
-                        "a failure record (default 3; 1 disables retry)")
-    p.add_argument("--journal", metavar="FILE",
-                   help="append per-point outcomes to a crash-safe "
-                        "JSONL journal as they complete")
-    p.add_argument("--resume", action="store_true",
-                   help="replay completed points from --journal instead "
-                        "of recomputing them (failed points re-run); "
-                        "results stay byte-identical per point")
     p.add_argument("--max-failures", type=int, default=0, metavar="N",
                    help=f"exit {EXIT_MAX_FAILURES} when more than N "
-                        "points terminally fail (default 0: any failure "
-                        "fails the campaign, loudly)")
-    p.add_argument("--health-json", metavar="FILE",
-                   help="write the sweep health counters (retries, "
-                        "timeouts, pool restarts, quarantines) to FILE")
+                        "points fail (default 0: any failure fails the "
+                        "campaign, loudly)")
     p.set_defaults(fn=_cmd_faults)
 
     p = sub.add_parser("topology", help="describe a built-in topology")
@@ -810,7 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.lint.invariants import InvariantViolation
-    from repro.perf.journal import SweepJournalMismatch
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -819,15 +796,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except SweepJournalMismatch as exc:
-        print(f"cannot resume: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
-        # SIGINT, or SIGTERM via the sweep dispatcher's graceful
-        # mapping: completed points of a journaled run are already on
-        # disk; rerun with --resume to pick up where this left off.
-        print("interrupted — journaled sweeps resume with --resume",
-              file=sys.stderr)
+        print("interrupted", file=sys.stderr)
         return 130
 
 

@@ -20,8 +20,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.perf.cache import ResultCache
 from repro.perf.sweep import (
     Prefilter,
-    RetryPolicy,
-    SweepHealth,
     SweepPoint,
     is_failed,
     is_skipped,
@@ -137,12 +135,6 @@ def run_campaign(
     cache: Optional[ResultCache] = None,
     replay_depths: Sequence[int] = (0,),
     prefilter: Optional[Prefilter] = None,
-    *,
-    timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    health: Optional[SweepHealth] = None,
-    journal: Optional[str] = None,
-    resume: bool = False,
 ) -> List[Dict[str, Any]]:
     """Run the campaign; one result record per (retry_limit, rate) point.
 
@@ -150,15 +142,10 @@ def run_campaign(
     :func:`repro.analyze.prefilter.campaign_prefilter`),
     statically-infeasible points — e.g. a replay buffer smaller than the
     link round trip, which throttles the link into the watchdog — are
-    skipped before dispatch and recorded as skip records.
-
-    The keyword-only resilience knobs pass straight through to
-    :func:`repro.perf.sweep.run_sweep`: a campaign point that crashes,
-    hangs past ``timeout``, or kills its worker pool becomes a
-    structured failure record in the results (visible in
-    :func:`format_campaign` and the ``health`` counters) instead of an
-    exception, and ``journal``/``resume`` make an interrupted campaign
-    restartable without recomputing finished points.
+    skipped before dispatch and recorded as skip records.  A point
+    whose worker raises becomes a failure record (see
+    :func:`repro.perf.sweep.run_sweep`), shown as a ``FAILED`` row by
+    :func:`format_campaign`.
     """
     points = campaign_points(rates, retry_limits, messages, replay_depths)
     return run_sweep(
@@ -170,11 +157,6 @@ def run_campaign(
         cache_name="faults-campaign",
         cache_context={"messages": messages},
         prefilter=prefilter,
-        timeout=timeout,
-        retry=retry,
-        health=health,
-        journal=journal,
-        resume=resume,
     )
 
 

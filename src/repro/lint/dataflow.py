@@ -26,16 +26,16 @@ and worker counts:
     identical sequences.
 
 ``process-shared-state`` (error)
-    Module-global mutable state reachable from a worker-trampoline
-    root — a function dispatched through ``ProcessPoolExecutor``
-    ``submit``/``map`` or the resilient sweep dispatchers
-    (``run_sweep``/``execute_jobs``), plus the static roots in
-    :mod:`repro.perf.workers` and :mod:`repro.perf.resilient`.  A
-    module-global RNG is flagged on any access (each pool child forks
-    its own copy, so draws depend on worker placement); other mutable
-    globals are flagged on *mutation* (a write in a pool child never
-    propagates back, so results differ between ``workers=1`` and
-    ``workers=N``).  Read-only lookup tables are fine.
+    Module-global mutable state reachable from a worker root — a
+    function dispatched through ``ProcessPoolExecutor``
+    ``submit``/``map`` or the sweep dispatchers
+    (``run_sweep``/``run_campaign``), plus every module-level function
+    of :mod:`repro.perf.workers`.  A module-global RNG is flagged on
+    any access (each pool child gets its own copy, so draws depend on
+    worker placement); other mutable globals are flagged on *mutation*
+    (a write in a pool child never propagates back, so results differ
+    between ``workers=1`` and ``workers=N``).  Read-only lookup tables
+    are fine.
 
 ``config-mutated-after-handoff`` (error)
     Attribute assignment into a config dataclass (``MultiRingConfig``
@@ -80,18 +80,11 @@ DATAFLOW_RULES: Tuple[str, ...] = (
 _UNROOTED_PREFIXES = ("random.", "numpy.random.", "secrets.")
 
 #: Functions that dispatch their first argument to worker processes.
-_WORKER_DISPATCHERS = {"run_sweep", "execute_jobs", "run_campaign"}
+_WORKER_DISPATCHERS = {"run_sweep", "run_campaign"}
 
 #: Modules whose module-level functions are worker roots by contract
 #: (picklable pool entry points), path suffixes.
 _WORKER_ROOT_MODULES = ("repro/perf/workers.py",)
-
-#: Named worker-side trampolines (qualified).
-_WORKER_ROOT_FUNCTIONS = {
-    "repro.perf.resilient.invoke_job",
-    "repro.perf.resilient._worker_init",
-    "repro.perf.resilient._maybe_chaos",
-}
 
 #: Constructor calls producing mutable containers (module-global scan).
 _MUTABLE_CTORS = {"list", "dict", "set", "deque", "defaultdict",
@@ -104,11 +97,11 @@ _MUTATOR_METHODS = {"append", "appendleft", "add", "update", "pop",
 
 #: Config-ish class-name suffixes for the handoff check.
 _CONFIG_SUFFIXES = ("Config", "Params")
-_CONFIG_NAMES = {"BudgetSpec", "QueueParams", "RetryPolicy"}
+_CONFIG_NAMES = {"BudgetSpec", "QueueParams"}
 
 #: Call-name suffixes that accept a config and fingerprint/freeze it.
 _HANDOFF_SUFFIXES = ("Fabric", "Processor", "Package", "System")
-_HANDOFF_NAMES = {"run_sweep", "execute_jobs", "run_campaign", "make_key",
+_HANDOFF_NAMES = {"run_sweep", "run_campaign", "make_key",
                   "analyze_system", "validate_spec", "config_fingerprint"}
 
 
@@ -491,9 +484,6 @@ class DataflowAnalyzer:
             if any(posix.endswith(s) for s in _WORKER_ROOT_MODULES):
                 roots.update(q for q, f in mod.functions.items()
                              if "." not in q[len(mod.modname) + 1:])
-            for qual in mod.functions:
-                if qual in _WORKER_ROOT_FUNCTIONS:
-                    roots.add(qual)
             # dynamic roots: fn names handed to pool.submit/map or a
             # sweep dispatcher's first argument.
             pools = self._pool_names(mod)

@@ -29,11 +29,11 @@ Generic linters do not know what breaks a simulator.  These rules do:
   point's seed from ``(base_seed, point index)`` before dispatch.
 - ``sweep-bare-pool`` — collecting results straight off
   ``ProcessPoolExecutor.map`` outside ``repro/perf/``.  A bare
-  ``pool.map`` is all-or-nothing: one worker crash, hang, or OOM
-  destroys every completed point and nothing reaches the result cache;
-  dispatch through :func:`repro.perf.sweep.run_sweep`, whose resilient
-  runner adds per-point timeouts, deterministic retry, pool-crash
-  recovery, and journaled resume.
+  ``pool.map`` is all-or-nothing: one worker exception aborts the loop
+  and every completed point is lost; dispatch through
+  :func:`repro.perf.sweep.run_sweep`, which seeds each point from its
+  index, turns a worker exception into that point's failure record,
+  and caches each result as it is collected.
 - ``unordered-iteration`` — iterating a ``set`` (a literal, a
   ``set()``/``frozenset()`` call, a set-algebra method result, or a
   local bound to one) inside the order-sensitive simulation packages
@@ -82,8 +82,7 @@ DETERMINISM_EXEMPT: Tuple[str, ...] = ("repro/sim/rng.py",)
 
 #: Directory fragments exempt from the determinism, parallel-seeding,
 #: and sweep-bare-pool rules: the measurement harness times wall clocks
-#: and owns the worker pools (and their resilient dispatch) by design —
-#: it is harness, not simulation.
+#: and owns the worker pools by design — it is harness, not simulation.
 PERF_EXEMPT_DIRS: Tuple[str, ...] = ("repro/perf/",)
 
 #: Directory fragments where iteration order feeds simulation state, so
@@ -364,10 +363,10 @@ class _RuleVisitor(ast.NodeVisitor):
             self._emit(
                 node, "sweep-bare-pool",
                 "direct ProcessPoolExecutor.map outside repro/perf/ is "
-                "all-or-nothing: one worker crash/hang/OOM destroys "
-                "every completed point; dispatch through "
-                "repro.perf.sweep.run_sweep (per-point timeouts, "
-                "deterministic retry, pool recovery, journaled resume)",
+                "all-or-nothing: one worker exception loses every "
+                "completed point; dispatch through "
+                "repro.perf.sweep.run_sweep (index-derived seeds, "
+                "per-point failure records, cached results)",
             )
 
     def visit_Attribute(self, node: ast.Attribute) -> None:

@@ -1,4 +1,4 @@
-"""Performance infrastructure: benchmarks, parallel sweeps, result cache.
+"""Performance infrastructure: parallel sweeps, result cache, dense tier.
 
 This package is the one place in the library allowed to read wall-clock
 time and spawn worker processes — everything under ``repro/perf/`` is
@@ -9,27 +9,21 @@ parallel-seeding rules.
 
 - :mod:`repro.perf.cache` — persistent on-disk result cache shared by
   sweep workers and the benchmark harness.
-- :mod:`repro.perf.sweep` — deterministic parallel sweep runner
-  (per-point seeds from :mod:`repro.sim.rng`, dispatched through the
-  resilient execution layer).
-- :mod:`repro.perf.resilient` — crash-resilient dispatch: per-point
-  timeouts, deterministic retry/backoff, ``BrokenProcessPool``
-  recovery with poison-point quarantine, sweep health counters.
-- :mod:`repro.perf.journal` — append-only JSONL sweep journal backing
-  ``--resume`` for interrupted campaigns.
+- :mod:`repro.perf.sweep` — deterministic sweep runner: per-point
+  seeds from :mod:`repro.sim.rng`, an in-process loop or a process
+  pool, results in point order.
 - :mod:`repro.perf.outcomes` — structured skip/failure records that
   stand in for stats dicts in partial sweep results.
+- :mod:`repro.perf.workers` — picklable sweep workers.
+- :mod:`repro.perf.dense` — the dense (numpy) ring stepping tier.
 """
 
 # The names below resolve lazily (PEP 562): the ring's tier selector
 # imports repro.perf.dense inside the simulation loop and must not pay
-# for the sweep stack (multiprocessing, concurrent.futures) it never uses.
+# for the sweep runner (concurrent.futures) it never uses.
 _LAZY = {
     "MISS": "repro.perf.cache",
     "ResultCache": "repro.perf.cache",
-    "RetryPolicy": "repro.perf.resilient",
-    "SweepHealth": "repro.perf.resilient",
-    "format_health": "repro.perf.resilient",
     "SweepPoint": "repro.perf.sweep",
     "failed_points": "repro.perf.sweep",
     "is_failed": "repro.perf.sweep",

@@ -136,13 +136,15 @@ class ResultCache:
 
         Written atomically (temp file + rename) so a reader never sees a
         half-written entry — sweep workers in other processes may read
-        concurrently.
+        concurrently.  Serialized before any file is opened, so a value
+        JSON rejects leaves no temp file behind.
         """
+        text = json.dumps({"version": self.version, "value": value})
         os.makedirs(self.root, exist_ok=True)
         path = self._path(key)
         tmp = path + f".tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"version": self.version, "value": value}, fh)
+            fh.write(text)
         os.replace(tmp, path)
 
     def clear(self) -> int:

@@ -5,32 +5,21 @@ Two structured outcome records can appear in place of a worker result:
 
 - a **skip record** — the point was statically pruned before dispatch
   (see the ``prefilter`` machinery in :mod:`repro.perf.sweep`);
-- a **failure record** — the point was dispatched but terminally failed
-  after the resilient runner (:mod:`repro.perf.resilient`) exhausted
-  its retry budget, hit its wall-clock timeout, or quarantined the
-  point for repeatedly killing the worker pool.
+- a **failure record** — the point was dispatched and its worker
+  raised, or its value could not be persisted.
 
-Both are plain JSON-able dicts so they flow through the result cache,
-the sweep journal, and ``--json`` dumps unchanged.  Consumers that
-aggregate sweep results (``format_campaign``, the bench report, CLI
-gates) must route records through :func:`is_skipped` / :func:`is_failed`
-instead of assuming every result is a stats dict.
+Both are plain JSON-able dicts so they flow through ``--json`` dumps
+unchanged.  Consumers that aggregate sweep results (``format_campaign``,
+CLI gates) must route records through :func:`is_skipped` /
+:func:`is_failed` instead of assuming every result is a stats dict.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-#: ``error_kind`` used when a point exceeded its wall-clock timeout.
-KIND_TIMEOUT = "timeout"
-
-#: ``error_kind`` used when a point was quarantined for killing the
-#: worker pool :data:`repro.perf.resilient.POISON_POOL_KILLS` times.
-KIND_POISONED = "poisoned"
-
 #: ``error_kind`` used when a point computed a value that could not be
-#: persisted (non-JSON-serializable result rejected by the cache or
-#: journal).
+#: persisted (non-JSON-serializable result rejected by the cache).
 KIND_UNSERIALIZABLE = "unserializable-result"
 
 
@@ -53,14 +42,13 @@ def failure_record(
     message: str = "",
     traceback_tail: str = "",
 ) -> Dict[str, Any]:
-    """The structured result a terminally-failed point gets.
+    """The structured result a failed point gets.
 
     ``error_kind`` is the exception class name for worker exceptions, or
-    one of :data:`KIND_TIMEOUT` / :data:`KIND_POISONED` for the runner's
-    own verdicts.  ``attempts`` counts every dispatch of the point
-    (first try included); ``elapsed_s`` is wall-clock from the first
-    dispatch to the terminal verdict; ``traceback_tail`` keeps the last
-    lines of the worker traceback for diagnosis without unbounded logs.
+    :data:`KIND_UNSERIALIZABLE`.  ``attempts`` counts the dispatches of
+    the point; ``elapsed_s`` is the worker's wall-clock time;
+    ``traceback_tail`` keeps the last lines of the worker traceback for
+    diagnosis without unbounded logs.
     """
     return {
         "point": _point_name(point),

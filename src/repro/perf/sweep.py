@@ -1,4 +1,4 @@
-"""Deterministic, crash-resilient parallel sweep runner.
+"""Deterministic parallel sweep runner.
 
 Runs one worker function over a list of sweep points, optionally across
 a process pool.  Three properties make the parallelism invisible to the
@@ -7,28 +7,23 @@ results:
 - **Per-point seeds are a function of (base seed, point index) only** —
   derived via :func:`repro.sim.rng` *before* any work is dispatched, so
   a point's random stream does not depend on which worker runs it, how
-  many workers exist, what ran before it, or how many times the point
-  was retried.  Never derive a seed from ``os.getpid()`` or worker
-  identity (the ``parallel-seeding`` lint rule flags that pattern
-  outside this package).
-- **Results merge in point order** — the resilient dispatcher
-  (:mod:`repro.perf.resilient`) completes points in any order but
-  stores by original index, so the returned list matches the input
-  order regardless of completion order, retries, or pool restarts.
-- **``workers <= 1`` degrades to a plain in-process loop** with the
-  same seeds and the same retry policy, which is both the
-  no-multiprocessing fallback and the oracle the determinism tests
-  compare the parallel path against.
+  many workers exist, or what ran before it.  Never derive a seed from
+  ``os.getpid()`` or worker identity (the ``parallel-seeding`` lint rule
+  flags that pattern outside this package).
+- **Results come back in point order** — the pool's results are
+  collected in submission order, whatever order the workers finish in.
+- **``workers <= 1`` is a plain in-process loop** with the same seeds,
+  which is both the no-multiprocessing fallback and the oracle the
+  determinism tests compare the parallel path against.
 
-Failure semantics: a worker exception, wall-clock timeout, or
-pool-killing crash no longer destroys the sweep.  Completed points are
-delivered (to the cache and the journal) the moment they finish, failed
-points retry under a bounded, deterministically-jittered backoff
-(:class:`repro.perf.resilient.RetryPolicy`), and a terminally-failed
-point yields a structured :func:`~repro.perf.outcomes.failure_record`
-in the results instead of an exception.  Pass a
-:class:`~repro.perf.resilient.SweepHealth` to collect
-retry/timeout/pool-restart/quarantine counters for a health report.
+Failure semantics: workers are pure functions of ``(point, seed)``, so
+re-running a failed point would only raise the same exception again.
+A worker exception therefore becomes that point's structured
+:func:`~repro.perf.outcomes.failure_record` (``attempts=1``) in the
+results, and every other point still runs.  A dead worker process
+(``BrokenProcessPool``) is not a point failure: it propagates.  Each
+result is written to the cache as it is collected, so points finished
+before such a crash are not lost.
 
 A sweep can take a ``prefilter`` — a predicate run in the parent
 process *before* dispatch (typically built on
@@ -40,32 +35,21 @@ original index before filtering, pruning some points cannot perturb the
 RNG stream of any point that still runs.  Skip counts are logged and
 queryable via :func:`skipped_points` — pruning is always visible, never
 a silent cap.
-
-Journaled runs: pass ``journal=<path>`` to append every point outcome
-to a crash-safe JSONL journal (:mod:`repro.perf.journal`) as it
-completes, and ``resume=True`` to replay a prior journal's completed
-points instead of recomputing them.  Because replayed points keep their
-recorded values and re-dispatched points keep their index-derived
-seeds, a resumed sweep's successful results are byte-identical to an
-uninterrupted run.
 """
 
 from __future__ import annotations
 
 import logging
-import os
+import multiprocessing
+import time
+import traceback
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.perf.cache import MISS, ResultCache
-from repro.perf.journal import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    SweepJournal,
-    SweepJournalMismatch,
-    sweep_fingerprint,
-)
 from repro.perf.outcomes import (
     KIND_UNSERIALIZABLE,
     failed_points,
@@ -75,20 +59,12 @@ from repro.perf.outcomes import (
     skip_record,
     skipped_points,
 )
-from repro.perf.resilient import (
-    Job,
-    RetryPolicy,
-    SweepHealth,
-    execute_jobs,
-    graceful_shutdown_signals,
-)
 from repro.sim.rng import make_rng, split_rng
 
 __all__ = [
     "Prefilter", "SweepPoint", "point_seed", "run_sweep",
     "skip_record", "is_skipped", "skipped_points",
     "failure_record", "is_failed", "failed_points",
-    "RetryPolicy", "SweepHealth", "SweepJournalMismatch",
 ]
 
 logger = logging.getLogger(__name__)
@@ -96,6 +72,9 @@ logger = logging.getLogger(__name__)
 #: Signature of a sweep prefilter: None = run the point, a string =
 #: skip it with that reason.
 Prefilter = Callable[["SweepPoint", int], Optional[str]]
+
+#: Lines of worker traceback kept in a failure record.
+_TRACEBACK_TAIL_LINES = 12
 
 
 @dataclass(frozen=True)
@@ -127,6 +106,44 @@ def point_seed(base_seed: int, index: int) -> int:
     return split_rng(make_rng(base_seed), index).randrange(2**63)
 
 
+def _run_point(fn: Callable[[SweepPoint, int], Any], point: SweepPoint,
+               seed: int) -> Tuple[bool, Any]:
+    """``(True, fn(point, seed))``, or ``(False, failure record)``.
+
+    Module-level so a pool can pickle it; the record is built here, in
+    the worker, so both dispatch paths report a failure identically.
+    """
+    started = time.perf_counter()
+    try:
+        return True, fn(point, seed)
+    except Exception as exc:
+        lines = traceback.format_exception(type(exc), exc, exc.__traceback__)
+        tail = "".join(lines).rstrip().splitlines()[-_TRACEBACK_TAIL_LINES:]
+        return False, failure_record(
+            point, type(exc).__name__, attempts=1,
+            elapsed_s=time.perf_counter() - started, message=str(exc),
+            traceback_tail="\n".join(tail))
+
+
+def _outcomes(fn: Callable[[SweepPoint, int], Any],
+              points: List[SweepPoint], seeds: List[int],
+              workers: Optional[int]) -> Iterator[Tuple[bool, Any]]:
+    """:func:`_run_point` for each point, yielded in point order."""
+    if workers is None or workers <= 1 or not points:
+        for point, seed in zip(points, seeds):
+            yield _run_point(fn, point, seed)
+        return
+    # spawn, not fork: a child starts from a fresh import instead of a
+    # copy of a parent that may be running threads.
+    pool = ProcessPoolExecutor(
+        max_workers=min(workers, len(points)),
+        mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield from pool.map(_run_point, repeat(fn), points, seeds)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_sweep(
     fn: Callable[[SweepPoint, int], Any],
     points: Sequence[SweepPoint],
@@ -136,176 +153,74 @@ def run_sweep(
     cache_name: Optional[str] = None,
     cache_context: Optional[Dict[str, Any]] = None,
     prefilter: Optional[Prefilter] = None,
-    *,
-    timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    health: Optional[SweepHealth] = None,
-    journal: Optional[str] = None,
-    resume: bool = False,
 ) -> List[Any]:
     """Evaluate ``fn(point, seed)`` for every point; results in order.
 
     ``fn`` must be a module-level function (workers receive it by
     pickle) and, when ``cache`` is given, must return something
-    JSON-serializable.  ``cache_context`` folds extra identity (config
-    fingerprints, cycle counts) into every cache key so entries from a
-    differently-configured sweep never alias.
+    JSON-serializable; a value the cache rejects becomes a
+    ``KIND_UNSERIALIZABLE`` failure record.  ``cache_context`` folds
+    extra identity (config fingerprints, cycle counts) into every cache
+    key so entries from a differently-configured sweep never alias.
 
     ``prefilter`` runs in the parent process before dispatch; a point it
     rejects gets a :func:`~repro.perf.outcomes.skip_record` result and
     never reaches a worker or the cache.  Every point's seed is still
     derived from its original index, so filtered and unfiltered sweeps
     produce identical results for every non-skipped point.
-
-    Resilience knobs (all optional, keyword-only):
-
-    - ``timeout`` — per-point wall-clock budget in seconds, enforced on
-      the pool path (``workers > 1``); a hung worker is terminated and
-      its pool recycled.
-    - ``retry`` — a :class:`~repro.perf.resilient.RetryPolicy`; failed
-      attempts re-run with the point's original seed under bounded,
-      deterministically-jittered backoff.  A point that exhausts the
-      budget becomes a :func:`~repro.perf.outcomes.failure_record` in
-      the results — ``run_sweep`` does not raise for worker failures.
-    - ``health`` — a :class:`~repro.perf.resilient.SweepHealth` whose
-      counters this run fills in (retries, timeouts, pool restarts,
-      quarantines, cache hits, resumed points).
-    - ``journal`` / ``resume`` — crash-safe JSONL progress journal; see
-      :mod:`repro.perf.journal`.  ``resume=True`` requires a journal
-      whose manifest matches this sweep's identity and raises
-      :class:`~repro.perf.journal.SweepJournalMismatch` otherwise.
-      SIGINT/SIGTERM during a journaled run checkpoint cleanly: every
-      completed point is already on disk, and the interrupted campaign
-      picks up where it left off under ``resume=True``.
     """
-    retry = retry or RetryPolicy()
-    health = health or SweepHealth()
-    health.points += len(points)
     seeds = [point_seed(base_seed, i) for i in range(len(points))]
     results: List[Any] = [None] * len(points)
     keys: List[Optional[str]] = [None] * len(points)
     name = cache_name or getattr(fn, "__qualname__", "sweep")
 
-    journal_obj: Optional[SweepJournal] = None
-    replayed: Dict[int, Dict[str, Any]] = {}
-    if journal is not None:
-        fingerprint = sweep_fingerprint(
-            name, base_seed,
-            [(p.name, p.as_dict()) for p in points],
-            context=cache_context or {})
-        if resume and os.path.exists(journal):
-            journal_obj, replayed = SweepJournal.resume(journal, fingerprint)
-        else:
-            journal_obj = SweepJournal(journal)
-            journal_obj.start(name, base_seed, len(points), fingerprint)
-
-    def record_outcome(index: int, status: str, value: Any) -> None:
-        if journal_obj is not None:
-            journal_obj.append(index, points[index].name, status, value)
-
-    try:
-        skipped = 0
-        jobs: List[Job] = []
-        for i, point in enumerate(points):
-            if i in replayed:
-                value = replayed[i]["value"]
-                results[i] = value
-                health.resumed += 1
-                # Write replayed ok values through to the cache: the
-                # journal outlives the crash but the shared cache must
-                # not stay cold for exactly the points a resumed
-                # campaign never re-dispatches.
-                if cache is not None and replayed[i]["status"] == STATUS_OK:
-                    key = cache.make_key(
-                        name,
-                        point=point.name,
-                        params=point.as_dict(),
-                        seed=seeds[i],
-                        context=cache_context or {},
-                    )
-                    keys[i] = key
-                    if cache.get(key, MISS) is MISS:
-                        try:
-                            cache.put(key, value)
-                        except (TypeError, ValueError):
-                            pass  # journaled value the cache rejects
+    todo: List[int] = []
+    for i, point in enumerate(points):
+        if prefilter is not None:
+            reason = prefilter(point, seeds[i])
+            if reason is not None:
+                results[i] = skip_record(point, reason)
+                logger.info("sweep: skipping point %s: %s",
+                            point.name, reason)
                 continue
-            if prefilter is not None:
-                reason = prefilter(point, seeds[i])
-                if reason is not None:
-                    results[i] = skip_record(point, reason)
-                    skipped += 1
-                    health.skipped += 1
-                    record_outcome(i, STATUS_SKIPPED, results[i])
-                    logger.info("sweep: skipping point %s: %s",
-                                point.name, reason)
-                    continue
-            if cache is not None:
-                key = cache.make_key(
-                    name,
-                    point=point.name,
-                    params=point.as_dict(),
-                    seed=seeds[i],
-                    context=cache_context or {},
-                )
-                keys[i] = key
-                # MISS (not None) is the miss signal: a worker that
-                # legitimately returns None must still hit the cache on
-                # the next run instead of re-dispatching forever.
-                hit = cache.get(key, MISS)
-                if hit is not MISS:
-                    results[i] = hit
-                    health.cached += 1
-                    record_outcome(i, STATUS_OK, hit)
-                    continue
-            jobs.append(Job(index=i, point=point, seed=seeds[i]))
+        if cache is not None:
+            keys[i] = cache.make_key(
+                name,
+                point=point.name,
+                params=point.as_dict(),
+                seed=seeds[i],
+                context=cache_context or {},
+            )
+            # MISS (not None) is the miss signal: a worker that
+            # legitimately returns None must still hit the cache on the
+            # next run instead of re-dispatching forever.
+            hit = cache.get(keys[i], MISS)
+            if hit is not MISS:
+                results[i] = hit
+                continue
+        todo.append(i)
 
-        if jobs:
-            def on_ok(index: int, value: Any) -> None:
-                # A worker value the cache or journal cannot serialize
-                # must become a structured failure record, not an
-                # exception that aborts the dispatcher mid-sweep (and
-                # with it every in-flight point).
-                try:
-                    if cache is not None and keys[index] is not None:
-                        cache.put(keys[index], value)
-                    record_outcome(index, STATUS_OK, value)
-                except (TypeError, ValueError) as exc:
-                    record = failure_record(
-                        points[index], KIND_UNSERIALIZABLE,
-                        attempts=1, elapsed_s=0.0, message=str(exc))
-                    results[index] = record
-                    health.failed += 1
-                    health.computed -= 1
-                    try:
-                        record_outcome(index, STATUS_FAILED, record)
-                    except (TypeError, ValueError):  # pragma: no cover
-                        pass
-                    logger.warning(
-                        "sweep: point %s result is not persistable: %s",
-                        points[index].name, exc)
-                    return
-                results[index] = value
+    outcomes = _outcomes(fn, [points[i] for i in todo],
+                         [seeds[i] for i in todo], workers)
+    for i, (ok, value) in zip(todo, outcomes):
+        if ok and cache is not None:
+            try:
+                cache.put(keys[i], value)
+            except (TypeError, ValueError) as exc:
+                ok, value = False, failure_record(
+                    points[i], KIND_UNSERIALIZABLE, attempts=1,
+                    elapsed_s=0.0, message=str(exc))
+        if not ok:
+            logger.warning("sweep: point %s FAILED (%s): %s",
+                           value["point"], value["error_kind"],
+                           value["error_message"])
+        results[i] = value
 
-            def on_failure(index: int, record: Dict[str, Any]) -> None:
-                results[index] = record
-                record_outcome(index, STATUS_FAILED, record)
-                logger.warning(
-                    "sweep: point %s FAILED (%s after %d attempt(s)): %s",
-                    record["point"], record["error_kind"],
-                    record["attempts"], record["error_message"])
-
-            with graceful_shutdown_signals():
-                execute_jobs(fn, jobs, workers=workers, timeout_s=timeout,
-                             retry=retry, health=health,
-                             on_ok=on_ok, on_failure=on_failure)
-        if skipped:
-            logger.info("sweep: statically skipped %d/%d point(s)",
-                        skipped, len(points))
-        if health.failed:
-            logger.warning("sweep: %d/%d point(s) terminally failed",
-                           health.failed, len(points))
-    finally:
-        if journal_obj is not None:
-            journal_obj.close()
+    skipped = len(skipped_points(results))
+    if skipped:
+        logger.info("sweep: statically skipped %d/%d point(s)",
+                    skipped, len(points))
+    failed = len(failed_points(results))
+    if failed:
+        logger.warning("sweep: %d/%d point(s) failed", failed, len(points))
     return results

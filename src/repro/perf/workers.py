@@ -7,12 +7,12 @@ and returns a JSON-serializable record so results can flow through the
 modules lazily: a pool child pays the import cost once, and the parent
 CLI stays fast when the sweep is fully cached.
 
-Workers run under the resilient dispatcher
-(:mod:`repro.perf.resilient`): an exception raised here is retried with
-the *same* ``(point, seed)`` under bounded backoff and, if it keeps
-failing, becomes a structured failure record in the sweep results — so
-a worker must be a pure function of its arguments (no hidden state
-between attempts) for retries to stay byte-identical.
+A worker must be a pure function of its arguments (no hidden state
+between points), so a sweep gives the same results in-process and
+across a pool.  That is also why a failing point is not retried: the
+same ``(point, seed)`` raises the same exception again.  An exception
+raised here becomes that point's structured failure record in the sweep
+results (:func:`repro.perf.sweep.run_sweep`).
 """
 
 from __future__ import annotations

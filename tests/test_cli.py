@@ -115,51 +115,37 @@ def test_trace_zero_messages_exits_cleanly(capsys):
     assert "delivered 0/0" in out and "n/a" in out
 
 
-# -- faults: resilience knobs ---------------------------------------------
+# -- faults: failure gate and retired flags -------------------------------
+
+
+def _raising_campaign_point(point, seed):
+    raise RuntimeError(f"worker exploded at {point.name}")
 
 
 def test_faults_failure_gate_exit_code(monkeypatch, capsys):
-    """crash-always chaos fails the only point; --max-failures gates it."""
+    """A raising worker fails the only point; --max-failures gates it."""
     from repro.cli import EXIT_MAX_FAILURES
-    from repro.perf import resilient
+    from repro.faults import campaign
 
-    monkeypatch.setenv(resilient.CHAOS_ENV, "crash-always")
-    argv = ["faults", "--messages", "10", "--rates", "0",
-            "--workers", "1", "--retries", "1"]
+    monkeypatch.setattr(campaign, "fault_campaign_point",
+                        _raising_campaign_point)
+    argv = ["faults", "--messages", "10", "--rates", "0", "--workers", "1"]
     assert main(argv) == EXIT_MAX_FAILURES
     err = capsys.readouterr().err
-    assert "exceed --max-failures" in err and "ChaosCrash" in err
+    assert "exceed --max-failures" in err and "RuntimeError" in err
+    assert "worker exploded at ber0-retry8" in err
     # A raised failure budget tolerates the same campaign.
     assert main(argv + ["--max-failures", "5"]) == 0
     out = capsys.readouterr().out
     assert "FAILED" in out and "1 FAILED" in out
 
 
-def test_faults_journal_resume_roundtrip(tmp_path, capsys):
-    journal = str(tmp_path / "faults.jsonl")
-    argv = ["faults", "--messages", "20", "--rates", "0,1e-4",
-            "--workers", "1", "--journal", journal]
-    health2 = str(tmp_path / "health.json")
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert main(argv + ["--resume", "--health-json", health2]) == 0
-    second = capsys.readouterr().out
-    # Every point replays from the journal, none recompute, and the
-    # campaign table is identical either way.
-    import json as _json
-    with open(health2) as fh:
-        health = _json.load(fh)
-    assert health["resumed"] == 2 and health["computed"] == 0
-    assert first.split("sweep health")[0] == second.split("sweep health")[0]
-    assert "2 resumed" in second
-
-
-def test_faults_resume_mismatch_exits_2(tmp_path, capsys):
-    journal = str(tmp_path / "faults.jsonl")
-    assert main(["faults", "--messages", "10", "--rates", "0",
-                 "--workers", "1", "--journal", journal]) == 0
-    capsys.readouterr()
-    # A different campaign (other rates) must refuse the journal.
-    assert main(["faults", "--messages", "10", "--rates", "1e-3",
-                 "--workers", "1", "--journal", journal, "--resume"]) == 2
-    assert "cannot resume" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", [
+    ["--timeout", "10"], ["--retries", "2"], ["--journal", "j.jsonl"],
+    ["--resume"], ["--health-json", "h.json"],
+])
+def test_faults_rejects_retired_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["faults", "--messages", "10", "--rates", "0"] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

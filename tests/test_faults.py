@@ -486,6 +486,27 @@ def test_faults_cli_prefilter_skips_doomed_replay_depths(tmp_path, capsys):
     assert survivors and all(r["dropped"] == 0 for r in survivors)
 
 
+@pytest.mark.parametrize("argv, code, stream, expected", [
+    # BER sweep on the D2D link must deliver everything.
+    (["--messages", "120", "--rates", "0,1e-4,1e-3", "--retry-limits", "8",
+      "--require-zero-drops"],
+     0, "out", "all points delivered every message (zero drops)"),
+    # Statically-doomed replay depths are pruned before dispatch.
+    (["--messages", "60", "--rates", "0,1e-4", "--retry-limits", "8",
+      "--replay-depths", "0,4", "--prefilter", "--require-zero-drops"],
+     0, "out", "prefilter: statically skipped 2/4 point(s)"),
+    # An exhausted retry budget is detected as drops.
+    (["--messages", "40", "--rates", "0.5", "--retry-limits", "0",
+      "--require-zero-drops"],
+     1, "err", "FAIL ber0.5-retry0: dropped"),
+], ids=["zero-drops", "prefilter", "exhausted-retry"])
+def test_faults_cli_gate_exit_codes(argv, code, stream, expected, capsys):
+    from repro.cli import main
+
+    assert main(["faults"] + argv) == code
+    assert expected in getattr(capsys.readouterr(), stream)
+
+
 def test_format_campaign_renders_skip_rows():
     from repro.faults.campaign import format_campaign
 

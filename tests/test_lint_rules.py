@@ -322,7 +322,7 @@ def test_bare_pool_map_exempt_in_perf():
         "        return list(pool.map(fn, points))\n"
     )
     assert "sweep-bare-pool" not in rules_hit(
-        source, path="pkg/repro/perf/resilient.py")
+        source, path="pkg/repro/perf/sweep.py")
     assert "sweep-bare-pool" in rules_hit(
         source, path="pkg/repro/faults/campaign.py")
 

@@ -194,49 +194,6 @@ def test_cache_lookup_disambiguates_none(tmp_path):
     assert cache.lookup(key) == (True, None)
 
 
-REPLAY_CALLS = []
-
-
-def counting_worker(point, seed):
-    REPLAY_CALLS.append(point.name)
-    return {"name": point.name, "seed": seed}
-
-
-def test_resumed_points_write_through_to_cache(tmp_path):
-    """Journal-replayed ok points must warm the shared cache.
-
-    Regression: a resumed campaign replayed points from the journal but
-    never wrote them to the cache, so the cache stayed cold for exactly
-    the points the resume skipped — a later cache-only rerun recomputed
-    them all.
-    """
-    from repro.perf.sweep import SweepHealth
-
-    journal = str(tmp_path / "sweep.jsonl")
-    REPLAY_CALLS.clear()
-    first = run_sweep(counting_worker, POINTS, base_seed=5, workers=1,
-                      journal=journal, cache_name="counting")
-    assert len(REPLAY_CALLS) == len(POINTS)
-
-    cache = ResultCache(str(tmp_path / "cache"))
-    health = SweepHealth()
-    second = run_sweep(counting_worker, POINTS, base_seed=5, workers=1,
-                       journal=journal, resume=True,
-                       cache=cache, cache_name="counting", health=health)
-    assert second == first
-    assert health.resumed == len(POINTS)
-    assert len(REPLAY_CALLS) == len(POINTS)  # replayed, not recomputed
-
-    warm = ResultCache(str(tmp_path / "cache"))
-    rerun_health = SweepHealth()
-    third = run_sweep(counting_worker, POINTS, base_seed=5, workers=1,
-                      cache=warm, cache_name="counting",
-                      health=rerun_health)
-    assert third == first
-    assert rerun_health.cached == len(POINTS)
-    assert len(REPLAY_CALLS) == len(POINTS)  # cache hits all the way
-
-
 def lookalike_worker(point, seed):
     """Stats dict whose counter keys shadow the outcome-record keys."""
     return {"skipped": 3, "failed": 1, "delivered": 10,
@@ -282,18 +239,86 @@ def test_unserializable_result_is_structured_failure(tmp_path):
     point) for one bad result.  It now becomes a failure record with
     :data:`~repro.perf.outcomes.KIND_UNSERIALIZABLE`.
     """
-    from repro.perf.outcomes import KIND_UNSERIALIZABLE, failed_points
-    from repro.perf.sweep import SweepHealth
+    from repro.perf.outcomes import (
+        KIND_UNSERIALIZABLE,
+        failed_points,
+        outcome_counts,
+    )
 
     cache = ResultCache(str(tmp_path))
-    health = SweepHealth()
     results = run_sweep(unserializable_worker, POINTS[:3], base_seed=5,
-                        workers=1, cache=cache, cache_name="bad",
-                        health=health)
+                        workers=1, cache=cache, cache_name="bad")
     assert len(failed_points(results)) == 3
     for record in results:
         assert record["error_kind"] == KIND_UNSERIALIZABLE
-    assert health.failed == 3 and health.computed == 0
+        assert record["attempts"] == 1
+    assert outcome_counts(results)["ok"] == 0
+    assert os.listdir(str(tmp_path)) == []  # nothing half-written
+
+
+def raise_on_p3(point, seed):
+    """Module-level worker that raises on point ``p3`` only."""
+    if point.name == "p3":
+        raise ValueError(f"boom at {point.name}")
+    return echo_worker(point, seed)
+
+
+def _without_wall_time(results):
+    return [{k: v for k, v in r.items() if k != "elapsed_s"}
+            for r in results]
+
+
+def test_worker_exception_is_one_failure_record():
+    """A raising point fails alone, once, the same way on both paths."""
+    from repro.perf.outcomes import failed_points
+
+    clean = run_sweep(echo_worker, POINTS, base_seed=5, workers=1)
+    serial = run_sweep(raise_on_p3, POINTS, base_seed=5, workers=1)
+    pooled = run_sweep(raise_on_p3, POINTS, base_seed=5, workers=2)
+    assert _without_wall_time(serial) == _without_wall_time(pooled)
+    for results in (serial, pooled):
+        (record,) = failed_points(results)
+        assert record["point"] == "p3"
+        assert record["attempts"] == 1
+        assert record["error_kind"] == "ValueError"
+        assert record["error_message"] == "boom at p3"
+        assert "raise_on_p3" in record["traceback_tail"]
+        assert results[:3] + results[4:] == clean[:3] + clean[4:]
+
+
+def test_failed_points_are_not_cached(tmp_path):
+    """Only successful values are cached; a failure re-runs next time."""
+    cache = ResultCache(str(tmp_path))
+    run_sweep(raise_on_p3, POINTS, base_seed=5, workers=1, cache=cache,
+              cache_name="raise")
+    warm = ResultCache(str(tmp_path))
+    again = run_sweep(raise_on_p3, POINTS, base_seed=5, workers=1,
+                      cache=warm, cache_name="raise")
+    assert warm.hits == len(POINTS) - 1 and warm.misses == 1
+    assert again[3]["error_kind"] == "ValueError"
+
+
+def test_dense_tier_import_stays_free_of_the_sweep_runner():
+    """The ring's tier selector loads repro.perf.dense in the sim loop.
+
+    It must not drag in the sweep runner or its process pool: the
+    ``repro.perf`` package resolves its names lazily for that reason.
+    """
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, repro.perf.dense;"
+        "bad = [m for m in ('concurrent.futures', 'repro.perf.sweep')"
+        " if m in sys.modules];"
+        "print(bad)"
+    )
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                             p for p in sys.path if p)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_prune_tmp_reaps_old_files_from_live_pids(tmp_path):
